@@ -8,7 +8,7 @@ non-negative lags only: the far end is assumed to lead the microphone.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import fftconvolve

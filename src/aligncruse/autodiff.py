@@ -754,8 +754,10 @@ def ccmse_loss(spec_hat: Tensor, spec_ref: np.ndarray, c: float, beta: float,
                eps: float = 1e-12) -> Tensor:
     """Compressed complex + magnitude MSE between stacked (2, t, f) spectra.
 
-    Forward powers are exact (0**c == 0, 1**c == 1); the eps guard enters
-    only the derivative so the gradient of |x|**c stays finite at x = 0.
+    Forward powers are exact (0**c == 0, 1**c == 1). In the derivative,
+    ``eps`` stands in for |x|**2 only where it is exactly 0, as the forward's
+    ``np.where`` does, so the gradient of |x|**c stays finite at x = 0 and is
+    exact everywhere else.
     """
     if spec_hat.data.shape != spec_ref.shape:
         raise ShapeError("spectra shape mismatch in loss")
@@ -781,7 +783,7 @@ def ccmse_loss(spec_hat: Tensor, spec_ref: np.ndarray, c: float, beta: float,
         if not spec_hat.requires_grad:
             return
         gs = float(g)
-        m2g = m2h + eps
+        m2g = np.where(m2h > 0, m2h, eps)
         ug = m2g ** ((c - 1.0) / 2.0)
         dah = gs * (1.0 - beta) * (-2.0) * (ar - ah) / n_cells
         dcrh = gs * beta * (-2.0) * (crr - crh) / n_cells

@@ -7,8 +7,11 @@ Two evaluation paths share one parameter store:
 * a graph (utterance) path used for training -- one delay distribution per
   clip, batch-norm in train or frozen mode;
 * a streaming (causal) path used for real-time inference -- per-frame delay
-  distributions from a leaky score accumulator, ring-buffered convolutions,
-  frame-by-frame overlap-add synthesis, 20 ms algorithmic latency.
+  distributions from a leaky score accumulator over ring-indexed key and
+  feature histories, per-block frame kernels over preallocated conv
+  histories, frame-by-frame overlap-add synthesis, 20 ms algorithmic
+  latency. Weights and batch-norm statistics are read when the engine is
+  built; batch-norm runs as a per-channel affine.
 
 The baseline variant ("cruse") is the same network with the alignment block
 removed; its second input channel is expected to carry externally aligned
@@ -354,14 +357,22 @@ def _align_causal_np(mic_feat: np.ndarray, far_feat: np.ndarray, store: ParamSto
 
 
 class AlignState:
-    """Causal alignment state: key/feature history rings and the leaky
-    score accumulator."""
+    """Causal alignment state: key and feature history rings and the leaky
+    score accumulator.
+
+    The rings are written in place at ``pos``; slot ``(pos - lag) % d_max``
+    holds the frame ``lag`` frames back, so no history is ever shifted.
+    """
 
     def __init__(self, cfg: ModelConfig, c_far: int, f: int):
+        d = cfg.d_max
         self.cfg = cfg
-        self.k_hist = np.zeros((cfg.d_max, cfg.align_proj))
-        self.far_hist = np.zeros((cfg.d_max, c_far, f))
-        self.scores = np.zeros(cfg.d_max)
+        self.k_ring = np.zeros((d, cfg.align_proj))
+        self.far_ring = np.zeros((d, c_far, f))
+        self._far_flat = self.far_ring.reshape(d, -1)
+        self.scores = np.zeros(d)  # in lag order
+        self.pos = d - 1
+        self._lags = np.arange(d)
 
     def step(self, mic_frame: np.ndarray, far_frame: np.ndarray, wq, bq, wk, bk):
         pool = self.cfg.align_pool
@@ -370,15 +381,16 @@ class AlignState:
         pf = far_frame[:, : fb * pool].reshape(far_frame.shape[0], fb, pool).max(axis=-1)
         q = pm.reshape(-1) @ wq + bq
         k = pf.reshape(-1) @ wk + bk
-        self.k_hist[1:] = self.k_hist[:-1]
-        self.k_hist[0] = k
-        self.far_hist[1:] = self.far_hist[:-1]
-        self.far_hist[0] = far_frame
-        self.scores = self.cfg.causal_decay * self.scores + self.k_hist @ q
-        shifted = self.scores - self.scores.max()
-        e = np.exp(shifted)
+        self.pos = pos = (self.pos + 1) % self.cfg.d_max
+        self.k_ring[pos] = k
+        self.far_ring[pos] = far_frame
+        # the slot of each lag; the map is its own inverse, so it also gives
+        # the lag held in each slot
+        slots = (pos - self._lags) % self.cfg.d_max
+        self.scores = self.cfg.causal_decay * self.scores + (self.k_ring @ q)[slots]
+        e = np.exp(self.scores - self.scores.max())
         dist = e / e.sum()
-        aligned = np.einsum("d,dcf->cf", dist, self.far_hist)
+        aligned = (dist[slots] @ self._far_flat).reshape(far_frame.shape)
         return aligned, dist
 
 
@@ -531,53 +543,120 @@ def enhance(mic: AudioClip, far: AudioClip, store: ParamStore,
 
 # -- streaming engine ----------------------------------------------------------------
 
-class _ConvRing:
-    """Past-frame buffer giving each causal conv its k_t - 1 frames of history."""
-
-    def __init__(self, c_in: int, kt: int, f: int):
-        self.buf = np.zeros((c_in, kt - 1, f))
-
-    def stack(self, frame: np.ndarray) -> np.ndarray:
-        full = np.concatenate([self.buf, frame[:, None, :]], axis=1)
-        if self.buf.shape[1]:
-            self.buf = full[:, 1:, :]
-        return full
+def _bn_affine(store: ParamStore, name: str, bias: np.ndarray):
+    """Frozen batch-norm after a biased layer as one per-channel affine:
+    ``bn(y + bias) == y * scale + shift`` (Jacob et al. 2018, arXiv:1712.05877).
+    It equals ``autodiff.batch_norm`` in inference mode up to rounding.
+    """
+    stats = store.bn_stats[name]
+    scale = store[f"{name}.bn.gamma"].data / np.sqrt(stats.var + ad.BN_EPS)
+    shift = store[f"{name}.bn.beta"].data + (bias - stats.mean) * scale
+    return scale[:, None], shift[:, None]
 
 
-def _conv_frame(w: np.ndarray, b: np.ndarray, stacked: np.ndarray, stride: int) -> np.ndarray:
-    """One (c_out, f_out) frame of the causal conv given (c_in, kt, f) input."""
-    c_out, c_in, kt, kf = w.shape
-    pad = (kf - 1) // 2
-    xp = np.pad(stacked, ((0, 0), (0, 0), (pad, pad)))
-    f_out = (stacked.shape[2] + 2 * pad - kf) // stride + 1
-    s0, s1, s2 = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp, shape=(f_out, c_in, kt, kf), strides=(s2 * stride, s0, s1, s2), writeable=False
-    )
-    cols = view.reshape(f_out, c_in * kt * kf)
-    return (cols @ w.reshape(c_out, -1).T).T + b[:, None]
+def _elu_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
+    """ELU of ``x`` written back into ``x``; the same values as ``autodiff.elu``."""
+    np.minimum(x, 0.0, out=tmp)
+    np.expm1(tmp, out=tmp)
+    np.maximum(x, 0.0, out=x)
+    x += tmp
 
 
-def _deconv_frame(w: np.ndarray, b: np.ndarray, x: np.ndarray, stride: int, out_pad: int) -> np.ndarray:
-    """One output frame of the transposed conv; x is (c_in, f)."""
-    c_in, c_out, _, kf = w.shape
-    f = x.shape[1]
-    pad = (kf - 1) // 2
-    width = (f - 1) * stride + kf
-    f_out = (f - 1) * stride - 2 * pad + kf + out_pad
-    full = np.zeros((c_out, width))
-    for c in range(kf):
-        full[:, c : c + stride * (f - 1) + 1 : stride] += w[:, :, 0, c].T @ x
-    return full[:, pad : pad + f_out] + b[:, None]
+class _EncoderStep:
+    """One encoder block (causal conv, batch-norm, ELU), a frame at a time.
+
+    The zero-padded history of the last k_t input frames, its im2col view,
+    the weight matrix (a view of the stored weight) and batch-norm folded
+    into a per-channel affine are all made here, once.
+    """
+
+    def __init__(self, store: ParamStore, name: str, f: int):
+        w = store[f"{name}.w"].data
+        c_out, c_in, kt, kf = w.shape
+        stride = store.cfg.conv_stride_f
+        pad = (kf - 1) // 2
+        f_out = _conv_out(f, kf, stride)
+        self._hist = np.zeros((c_in, kt, f + 2 * pad))
+        self._frame = self._hist[:, -1, pad : pad + f]
+        s0, s1, s2 = self._hist.strides
+        self._im2col = np.lib.stride_tricks.as_strided(
+            self._hist, shape=(c_in, kt, kf, f_out), strides=(s0, s1, s2, s2 * stride),
+            writeable=False,
+        )
+        self._cols = np.empty((c_in * kt * kf, f_out))
+        self._cols4 = self._cols.reshape(self._im2col.shape)
+        self._w = w.reshape(c_out, -1)
+        self._scale, self._shift = _bn_affine(store, name, store[f"{name}.b"].data)
+        self._out = np.empty((c_out, f_out))
+        self._tmp = np.empty((c_out, f_out))
+
+    def __call__(self, *parts: np.ndarray) -> np.ndarray:
+        """Takes the new (c_in, f) input frame, given as channel blocks in
+        order; returns the (c_out, f_out) output frame in a buffer that the
+        next call overwrites."""
+        hist = self._hist
+        hist[:, :-1] = hist[:, 1:]
+        c = 0
+        for part in parts:
+            self._frame[c : c + part.shape[0]] = part
+            c += part.shape[0]
+        np.copyto(self._cols4, self._im2col)
+        out = self._out
+        np.matmul(self._w, self._cols, out=out)
+        out *= self._scale
+        out += self._shift
+        _elu_inplace(out, self._tmp)
+        return out
 
 
-def _bn_infer_frame(x: np.ndarray, gamma, beta, stats: BnStats) -> np.ndarray:
-    inv = 1.0 / np.sqrt(stats.var + ad.BN_EPS)
-    return gamma[:, None] * (x - stats.mean[:, None]) * inv[:, None] + beta[:, None]
+class _DecoderStep:
+    """Skip connection plus one frequency-transposed conv stage, a frame at a
+    time: one (k_f * c_out, c_in) matmul, then k_f strided adds.
 
+    With ``bn`` the stage ends in batch-norm and ELU (dec1..dec3); without it
+    the output is the pre-sigmoid mask.
+    """
 
-def _elu_np(x):
-    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+    def __init__(self, store: ParamStore, skip: str, name: str, f_in: int, f_out: int, bn: bool):
+        stride = store.cfg.conv_stride_f
+        w = store[f"{name}.w"].data
+        c_in, c_out, _, kf = w.shape
+        pad = (kf - 1) // 2
+        self._skip_w = store[f"{skip}.w"].data
+        self._skip_b = store[f"{skip}.b"].data[:, None]
+        # (c_in, c_out, 1, kf) -> (kf * c_out, c_in); a small copy made once
+        self._w = np.ascontiguousarray(w[:, :, 0, :].transpose(2, 1, 0)).reshape(kf * c_out, c_in)
+        b = store[f"{name}.b"].data
+        if bn:
+            self._scale, self._shift = _bn_affine(store, name, b)
+        else:
+            self._scale, self._shift = np.ones((c_out, 1)), b[:, None]
+        self._elu = bn
+        self._x = np.empty((c_in, f_in))
+        self._y = np.empty((kf * c_out, f_in))
+        self._full = np.zeros((c_out, (f_in - 1) * stride + kf))
+        span = stride * (f_in - 1) + 1
+        self._taps = [(self._full[:, c : c + span : stride], self._y[c * c_out : (c + 1) * c_out])
+                      for c in range(kf)]
+        self._center = self._full[:, pad : pad + f_out]
+        self._out = np.empty((c_out, f_out))
+        self._tmp = np.empty((c_out, f_out))
+
+    def __call__(self, enc: np.ndarray, x: np.ndarray) -> np.ndarray:
+        h = self._x
+        np.matmul(self._skip_w, enc, out=h)
+        h += self._skip_b
+        h += x
+        np.matmul(self._w, h, out=self._y)
+        self._full.fill(0.0)
+        for dst, src in self._taps:
+            dst += src
+        out = self._out
+        np.multiply(self._center, self._scale, out=out)
+        out += self._shift
+        if self._elu:
+            _elu_inplace(out, self._tmp)
+        return out
 
 
 class StreamingEnhancer:
@@ -586,6 +665,12 @@ class StreamingEnhancer:
 
     Output is chunk-size invariant: any chunking produces the same samples as
     a single push of the whole clip, because processing is per-frame inside.
+    The store is read when the engine is built: conv weights by view,
+    batch-norm statistics folded into per-channel affines, the decoder's
+    small weights copied. Build a new engine after changing the store.
+
+    Non-finite input samples are replaced by 0 before framing and counted in
+    ``sanitized_samples``.
     """
 
     def __init__(self, store: ParamStore, stft_cfg: StftConfig | None = None,
@@ -593,91 +678,84 @@ class StreamingEnhancer:
         if store.arch != "align":
             raise ConfigurationError("streaming requires an 'align' parameter store")
         self.store = store
-        self.cfg = store.cfg
+        self.cfg = cfg = store.cfg
         self.stft_cfg = stft_cfg or StftConfig()
         self.force_identity_mask = force_identity_mask
-        cfg, kt = self.cfg, self.cfg.conv_kernel[0]
+        self.sanitized_samples = 0
         freqs = cfg.enc_freqs
-        plan = _enc_channel_plan(cfg)
         in_freq = {"mic1": freqs[0], "mic2": freqs[1], "far1": freqs[0],
                    "far2": freqs[1], "enc3": freqs[2], "enc4": freqs[3]}
-        self._rings = {n: _ConvRing(plan[n][0], kt, in_freq[n]) for n in ENC_BLOCKS}
+        self._enc = [_EncoderStep(store, n, in_freq[n]) for n in ENC_BLOCKS]
+        self._dec = [_DecoderStep(store, f"skip{i + 1}", name, freqs[4 - i], freqs[3 - i], bn=True)
+                     for i, name in enumerate(DEC_STAGE_NAMES)]
+        self._dec.append(_DecoderStep(store, "skip4", "mask", freqs[1], cfg.n_bins, bn=False))
         self._align = AlignState(cfg, cfg.far_channels[1], freqs[2])
+        self._align_w = tuple(store[n].data for n in ("align.wq", "align.bq", "align.wk", "align.bk"))
+        self._gru_w = tuple(store[n].data for n in ("gru.wih", "gru.whh", "gru.b"))
+        self._gain = store["mask.gain"].data[0]
         self._h = np.zeros(cfg.gru_hidden)
+        self._h_shape = (cfg.gru_channels, freqs[-1])
         self._mic_framer = dsp.StreamingFramer(self.stft_cfg)
         self._far_framer = dsp.StreamingFramer(self.stft_cfg)
         self._ola_tail = np.zeros(self.stft_cfg.win_len - self.stft_cfg.hop)
         self._dists: list[np.ndarray] = []
-        # numpy views of the parameters, fetched once
-        self._p = {n: t.data for n, t in store.tensors.items()}
 
     def delay_distribution(self) -> DelayDistribution:
         if not self._dists:
             return DelayDistribution(np.full(self.cfg.d_max, 1.0 / self.cfg.d_max))
         return DelayDistribution(np.asarray(self._dists), mode="per-frame")
 
-    def _enc_frame(self, name: str, frame: np.ndarray) -> np.ndarray:
-        p, store = self._p, self.store
-        stacked = self._rings[name].stack(frame)
-        out = _conv_frame(p[f"{name}.w"], p[f"{name}.b"], stacked, self.cfg.conv_stride_f)
-        out = _bn_infer_frame(out, p[f"{name}.bn.gamma"], p[f"{name}.bn.beta"],
-                              store.bn_stats[name])
-        return _elu_np(out)
-
-    def _process_frame(self, mic_frame: np.ndarray, far_frame: np.ndarray) -> np.ndarray:
-        cfg, p = self.cfg, self._p
-        scfg = self.stft_cfg
-        spec_m = np.fft.rfft(mic_frame * scfg.window, n=scfg.fft_len)
-        spec_f = np.fft.rfft(far_frame * scfg.window, n=scfg.fft_len)
-        feat_m = np.log(spec_m.real**2 + spec_m.imag**2 + dsp.LOG_EPS)[None, :]
-        feat_f = np.log(spec_f.real**2 + spec_f.imag**2 + dsp.LOG_EPS)[None, :]
-
-        m1 = self._enc_frame("mic1", feat_m)
-        m2 = self._enc_frame("mic2", m1)
-        f1 = self._enc_frame("far1", feat_f)
-        f2 = self._enc_frame("far2", f1)
-        aligned, dist = self._align.step(m2, f2, p["align.wq"], p["align.bq"],
-                                         p["align.wk"], p["align.bk"])
+    def _network_frame(self, feat_m: np.ndarray, feat_f: np.ndarray) -> np.ndarray:
+        """Pre-sigmoid mask of one frame from its (n_bins,) log-power features."""
+        mic1, mic2, far1, far2, enc3, enc4 = self._enc
+        m1 = mic1(feat_m)
+        m2 = mic2(m1)
+        f2 = far2(far1(feat_f))
+        aligned, dist = self._align.step(m2, f2, *self._align_w)
         self._dists.append(dist)
-        e3 = self._enc_frame("enc3", np.concatenate([m2, aligned], axis=0))
-        e4 = self._enc_frame("enc4", e3)
+        e3 = enc3(m2, aligned)
+        e4 = enc4(e3)
+        self._h, *_ = ad.gru_step_np(*self._gru_w, e4.reshape(-1), self._h)
+        x = self._h.reshape(self._h_shape)
+        for stage, skip in zip(self._dec, (e4, e3, m2, m1)):
+            x = stage(skip, x)
+        return x[0]
 
-        self._h, *_ = ad.gru_step_np(p["gru.wih"], p["gru.whh"], p["gru.b"],
-                                     e4.reshape(-1), self._h)
-        x = self._h.reshape(cfg.gru_channels, cfg.enc_freqs[-1])
-
-        skips = [m1, m2, e3, e4]
-        freqs = cfg.enc_freqs
-        for i, name in enumerate(DEC_STAGE_NAMES):
-            enc = skips[3 - i]
-            x = p[f"skip{i + 1}.w"] @ enc + p[f"skip{i + 1}.b"][:, None] + x
-            target = freqs[3 - i]
-            out_pad = target - ((x.shape[1] - 1) * cfg.conv_stride_f - 2 + cfg.dec_kernel_f)
-            x = _deconv_frame(p[f"{name}.w"], p[f"{name}.b"], x, cfg.conv_stride_f, out_pad)
-            x = _bn_infer_frame(x, p[f"{name}.bn.gamma"], p[f"{name}.bn.beta"],
-                                self.store.bn_stats[name])
-            x = _elu_np(x)
-        x = p["skip4.w"] @ skips[0] + p["skip4.b"][:, None] + x
-        out_pad = cfg.n_bins - ((x.shape[1] - 1) * cfg.conv_stride_f - 2 + cfg.dec_kernel_f)
-        pre = _deconv_frame(p["mask.w"], p["mask.b"], x, cfg.conv_stride_f, out_pad)
-        with np.errstate(over="ignore"):
-            mask = p["mask.gain"][0] / (1.0 + np.exp(-pre[0]))
-        if self.force_identity_mask:
-            mask = np.ones_like(mask)
-
-        seg = np.fft.irfft(mask * spec_m, n=scfg.fft_len) * scfg.window
-        hop = scfg.hop
-        out = self._ola_tail + seg[:hop]
-        self._ola_tail = seg[hop:].copy()
-        return out
+    def _sanitize(self, chunk) -> np.ndarray:
+        x = np.asarray(chunk, dtype=np.float64)
+        finite = np.isfinite(x)
+        if finite.all():
+            return x
+        self.sanitized_samples += int(x.size - np.count_nonzero(finite))
+        return np.where(finite, x, 0.0)
 
     def push(self, mic_chunk: np.ndarray, far_chunk: np.ndarray) -> np.ndarray:
         """Consumes equal-length sample chunks, returns enhanced samples."""
-        mic_frames = self._mic_framer.push(np.asarray(mic_chunk, dtype=np.float64))
-        far_frames = self._far_framer.push(np.asarray(far_chunk, dtype=np.float64))
+        mic_frames = self._mic_framer.push(self._sanitize(mic_chunk))
+        far_frames = self._far_framer.push(self._sanitize(far_chunk))
         if len(mic_frames) != len(far_frames):
             raise ShapeError("mic and far chunks must stay in lockstep")
-        outs = [self._process_frame(m, f) for m, f in zip(mic_frames, far_frames)]
-        if not outs:
+        n = len(mic_frames)
+        if n == 0:
             return np.zeros(0)
-        return np.concatenate(outs)
+        scfg = self.stft_cfg
+        spec_m = np.fft.rfft(mic_frames * scfg.window, n=scfg.fft_len, axis=1)
+        spec_f = np.fft.rfft(far_frames * scfg.window, n=scfg.fft_len, axis=1)
+        feat_m = np.log(spec_m.real**2 + spec_m.imag**2 + dsp.LOG_EPS)
+        feat_f = np.log(spec_f.real**2 + spec_f.imag**2 + dsp.LOG_EPS)
+        pre = np.empty_like(feat_m)
+        for i in range(n):
+            pre[i] = self._network_frame(feat_m[i], feat_f[i])
+        if self.force_identity_mask:
+            mask = np.ones_like(pre)
+        else:
+            with np.errstate(over="ignore"):
+                mask = self._gain / (1.0 + np.exp(-pre))
+
+        segs = np.fft.irfft(mask * spec_m, n=scfg.fft_len, axis=1) * scfg.window
+        hop = scfg.hop
+        out = segs[:, :hop].copy()
+        out[0] += self._ola_tail
+        out[1:] += segs[:-1, hop:]
+        self._ola_tail = segs[-1, hop:].copy()
+        return out.reshape(-1)

@@ -8,6 +8,7 @@ a numeric echo of the model configuration so shapes are validated on load.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import OrderedDict
 
@@ -77,25 +78,38 @@ def write_records(path, records: OrderedDict, dtype: str = "f64") -> None:
             fh.write(arr.astype(np_dtype).tobytes())
 
 
+def _unpack(fh, fmt: str, path) -> tuple:
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ConfigurationError(f"{path}: truncated record header")
+    return struct.unpack(fmt, raw)
+
+
 def read_records(path) -> OrderedDict:
+    """Reads every record. Each payload is read straight into its array, so
+    an f64 payload is copied once, from the file into the array."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ConfigurationError(f"{path}: not a parameter file (bad magic)")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = _unpack(fh, "<II", path)
         if version != VERSION:
             raise ConfigurationError(f"{path}: unsupported format version {version}")
         records: OrderedDict[str, np.ndarray] = OrderedDict()
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
+            (name_len,) = _unpack(fh, "<I", path)
             name = fh.read(name_len).decode("utf-8")
-            code, rank = struct.unpack("<II", fh.read(8))
+            code, rank = _unpack(fh, "<II", path)
             if code not in (0, 1):
                 raise ConfigurationError(f"{path}: unknown dtype code {code}")
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(rank))
-            np_dtype = "<f4" if code == 0 else "<f8"
-            n_bytes = int(np.prod(shape, dtype=np.int64)) * (4 if code == 0 else 8)
-            data = np.frombuffer(fh.read(n_bytes), dtype=np_dtype).astype(np.float64)
-            records[name] = data.reshape(shape)
+            shape = _unpack(fh, f"<{rank}I", path)
+            n = math.prod(shape)
+            data = np.empty(n, dtype="<f4" if code == 0 else "<f8")
+            got = fh.readinto(data)
+            if got != data.nbytes:
+                raise ConfigurationError(
+                    f"{path}: record {name!r} is truncated ({got} of {data.nbytes} bytes)")
+            records[name] = data.astype(np.float64, copy=False).reshape(shape)
     return records
 
 

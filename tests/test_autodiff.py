@@ -500,3 +500,24 @@ def test_gradcheck_composed_stack():
 
     err = grad_check(stack, [x, w1, b1, g1, be1, w2, b2])
     assert err < 1e-4
+
+
+def test_ccmse_gradient_exact_at_small_bin():
+    # the smallest bin's power is about 1e-9: a guard added to every bin's
+    # power (rather than only where it is 0) biases this gradient by ~1e-3
+    rng = np.random.default_rng(17)
+    ref = rng.standard_normal((2, 3, 5))
+    hat = rng.standard_normal((2, 3, 5))
+    hat[:, 1, 2] = [2.0e-5, -2.4e-5]
+    assert 5e-10 < hat[0, 1, 2] ** 2 + hat[1, 1, 2] ** 2 < 2e-9
+    spec = Tensor(hat.copy(), requires_grad=True)
+    backward(ccmse_loss(spec, ref, 0.3, 0.7))
+    h = 1e-9
+    for part in (0, 1):
+        probe = hat.copy()
+        probe[part, 1, 2] += h
+        fp = float(ccmse_loss(Tensor(probe), ref, 0.3, 0.7).data)
+        probe[part, 1, 2] -= 2 * h
+        fm = float(ccmse_loss(Tensor(probe), ref, 0.3, 0.7).data)
+        num = (fp - fm) / (2 * h)
+        assert abs(spec.grad[part, 1, 2] - num) <= 1e-6 * abs(num)

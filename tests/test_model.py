@@ -4,10 +4,11 @@ import pytest
 from aligncruse import autodiff as ad
 from aligncruse import dsp
 from aligncruse.autodiff import Tensor
-from aligncruse.data import ScenarioConfig, synth_scenario
+from aligncruse.data import ScenarioConfig, ld_scenario_config, synth_scenario
 from aligncruse.dsp import AudioClip, SpectralFrames, StftConfig
 from aligncruse.errors import ConfigurationError, ContractViolationError, ShapeError
 from aligncruse.model import (
+    AlignState,
     DelayDistribution,
     ModelConfig,
     StreamingEnhancer,
@@ -435,3 +436,103 @@ def test_delay_distribution_validation():
         DelayDistribution(np.array([1.5, -0.5]))
     d = DelayDistribution(np.array([0.25, 0.75]))
     assert d.argmax() == 1
+
+
+# -- streaming kernels ---------------------------------------------------------------------
+
+def _perturbed_store(seed):
+    """Tiny store with random biases, batch-norm gamma and beta and running
+    statistics: identity statistics would hide a wrongly folded batch-norm."""
+    store = tiny_store(seed=seed)
+    rng = np.random.default_rng(seed + 1000)
+    for name, t in store.tensors.items():
+        if name.endswith((".b", ".beta", ".bq", ".bk")):
+            t.data = t.data + rng.standard_normal(t.data.shape) * 0.1
+        elif name.endswith(".gamma"):
+            t.data = rng.uniform(0.5, 1.5, t.data.shape)
+    for stats in store.bn_stats.values():
+        stats.mean = rng.standard_normal(stats.mean.shape) * 0.5
+        stats.var = rng.uniform(0.3, 3.0, stats.var.shape)
+    return store
+
+
+def _stream_10ms(store, mic, far):
+    eng = StreamingEnhancer(store)
+    outs = [eng.push(mic[k : k + 160], far[k : k + 160]) for k in range(0, len(mic) - 159, 160)]
+    return np.concatenate(outs), eng
+
+
+def test_streaming_equals_causal_graph_past_ring_wrap():
+    store = _perturbed_store(40)
+    mic, far = _scenario_pair(8, seconds=1.5)
+    spec_m, spec_f = dsp.stft(mic), dsp.stft(far)
+    assert spec_m.n_frames > 2 * TINY.d_max  # the alignment rings wrap round
+    streamed, eng = _stream_10ms(store, mic.samples, far.samples)
+    with ad.no_grad():
+        mask, dist = forward(store, dsp.log_power(spec_m), dsp.log_power(spec_f),
+                             mode="infer", align_mode="causal")
+    ref = dsp.istft(apply_mask(mask.data, spec_m)).samples
+    n = spec_m.n_frames * 160
+    assert len(streamed) == n
+    assert np.max(np.abs(streamed - ref[:n])) < 1e-9
+    np.testing.assert_allclose(eng.delay_distribution().probs, dist.probs, rtol=0, atol=1e-9)
+
+
+class _ShiftedAlignState:
+    """Reference alignment step that shifts its key and feature histories by
+    one frame every step, lag 0 first."""
+
+    def __init__(self, cfg, c_far, f):
+        self.cfg = cfg
+        self.k_hist = np.zeros((cfg.d_max, cfg.align_proj))
+        self.far_hist = np.zeros((cfg.d_max, c_far, f))
+        self.scores = np.zeros(cfg.d_max)
+
+    def step(self, mic_frame, far_frame, wq, bq, wk, bk):
+        pool = self.cfg.align_pool
+        fb = mic_frame.shape[1] // pool
+        pm = mic_frame[:, : fb * pool].reshape(mic_frame.shape[0], fb, pool).max(axis=-1)
+        pf = far_frame[:, : fb * pool].reshape(far_frame.shape[0], fb, pool).max(axis=-1)
+        q = pm.reshape(-1) @ wq + bq
+        k = pf.reshape(-1) @ wk + bk
+        self.k_hist[1:] = self.k_hist[:-1].copy()
+        self.k_hist[0] = k
+        self.far_hist[1:] = self.far_hist[:-1].copy()
+        self.far_hist[0] = far_frame
+        self.scores = self.cfg.causal_decay * self.scores + self.k_hist @ q
+        e = np.exp(self.scores - self.scores.max())
+        dist = e / e.sum()
+        return np.einsum("d,dcf->cf", dist, self.far_hist), dist
+
+
+def test_ring_align_state_matches_shifted_histories():
+    store = _perturbed_store(41)
+    c_mic, c_far, f = TINY.mic_channels[1], TINY.far_channels[1], TINY.enc_freqs[2]
+    weights = [store[n].data for n in ("align.wq", "align.bq", "align.wk", "align.bk")]
+    ring, ref = AlignState(TINY, c_far, f), _ShiftedAlignState(TINY, c_far, f)
+    rng = np.random.default_rng(9)
+    for _ in range(3 * TINY.d_max):
+        m, x = rng.standard_normal((c_mic, f)), rng.standard_normal((c_far, f))
+        got_a, got_d = ring.step(m, x, *weights)
+        ref_a, ref_d = ref.step(m, x, *weights)
+        np.testing.assert_allclose(got_d, ref_d, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_a, ref_a, rtol=0, atol=1e-12)
+
+
+def test_streaming_sanitizes_non_finite_input():
+    sc = synth_scenario(ld_scenario_config("m", 3, 3.0))
+    far = sc.far.samples
+    at = 2 * 16000
+    clean = sc.mic.samples.copy()
+    clean[at] = 0.0
+    dirty = sc.mic.samples.copy()
+    dirty[at] = np.nan
+    store = tiny_store(seed=33)
+    got, eng = _stream_10ms(store, dirty, far)
+    ref, eng_ref = _stream_10ms(store, clean, far)
+    assert np.all(np.isfinite(got))
+    assert np.array_equal(got, ref)
+    assert eng.sanitized_samples == 1
+    assert eng_ref.sanitized_samples == 0
+    eng.push(np.zeros(2), np.array([np.inf, -np.inf]))
+    assert eng.sanitized_samples == 3

@@ -87,3 +87,17 @@ def test_save_is_deterministic(tmp_path):
     save_params(p1, store)
     save_params(p2, store)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_truncated_payload_rejected(tmp_path):
+    store = init_params(TINY, seed=10)
+    path = tmp_path / "m.acrs"
+    save_params(path, store)
+    raw = path.read_bytes()
+    # cut inside the payload of the largest tensor, so its header is intact
+    start = raw.index(b"gru.wih") + len(b"gru.wih") + 4 * 4
+    path.write_bytes(raw[: start + 8 * 100 + 3])
+    with pytest.raises(ConfigurationError, match="truncated"):
+        read_records(path)
+    with pytest.raises(ConfigurationError):
+        load_params(path)
