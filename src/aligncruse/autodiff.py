@@ -73,40 +73,8 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # elementwise sugar; constants are wrapped on the fly
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-
-def _wrap(x):
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
 def _make(data, parents, backward_fn):
@@ -189,18 +157,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return _make(data, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
@@ -211,55 +167,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return _make(-a.data, (a,), bwd)
-
-
-def pow_const(a: Tensor, p: float) -> Tensor:
-    data = a.data**p
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g * p * a.data ** (p - 1))
-
-    return _make(data, (a,), bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        data = np.exp(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g * data)
-
-    return _make(data, (a,), bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    data = np.log(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return _make(data, (a,), bwd)
-
-
-def tanh(a: Tensor) -> Tensor:
-    data = np.tanh(a.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - data * data))
-
-    return _make(data, (a,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -280,17 +187,6 @@ def sum_all(a: Tensor) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-
-    return _make(data, (a,), bwd)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    data = np.asarray(a.data.mean())
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(np.broadcast_to(g / n, a.data.shape).copy())
 
     return _make(data, (a,), bwd)
 
@@ -368,16 +264,6 @@ def softmax_lastdim(a: Tensor) -> Tensor:
             a._accumulate((g - dot) * data)
 
     return _make(data, (a,), bwd)
-
-
-def activation(a: Tensor, kind: str) -> Tensor:
-    if kind == "elu":
-        return elu(a)
-    if kind == "sigmoid":
-        return sigmoid(a)
-    if kind == "softmax_lastdim":
-        return softmax_lastdim(a)
-    raise ShapeError(f"unknown activation kind: {kind}")
 
 
 # -- convolutions -----------------------------------------------------------

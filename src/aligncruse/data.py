@@ -1,18 +1,17 @@
 """Synthetic scenario generation for training and the long-delay test sets.
 
 Everything is deterministic from a 64-bit seed: sources are an
-envelope-modulated pink-noise speech surrogate (or WAVs from a corpus
-directory), the echo path is a delayed, optionally distorted far end signal
-convolved with an exponentially decaying random room impulse response, and
-mixing gains realize the drawn signal-to-echo / signal-to-noise ratios
-exactly.
+envelope-modulated pink-noise speech surrogate, the echo path is a delayed,
+optionally distorted far end signal convolved with an exponentially decaying
+random room impulse response, and mixing gains realize the drawn
+signal-to-echo / signal-to-noise ratios exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -271,16 +270,3 @@ def read_manifest(path) -> list[dict]:
             if line:
                 rows.append(json.loads(line))
     return rows
-
-
-def load_corpus_clip(directory, rng: np.random.Generator, n_samples: int) -> np.ndarray:
-    """Picks a random WAV from a directory and crops/pads it to length.
-    Raises if the directory holds no WAV files."""
-    paths = sorted(Path(directory).glob("*.wav"))
-    if not paths:
-        raise ConfigurationError(f"no WAV files in {directory}")
-    clip = dsp.read_wav(paths[rng.integers(len(paths))]).samples
-    if len(clip) >= n_samples:
-        start = rng.integers(len(clip) - n_samples + 1)
-        return clip[start : start + n_samples]
-    return np.pad(clip, (0, n_samples - len(clip)))

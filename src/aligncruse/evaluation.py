@@ -117,8 +117,8 @@ def delay_recovery_report(system: str, manifest_rows: list, base_dir,
     """
     if system not in ("model", "global", "online"):
         raise ConfigurationError(f"unknown system {system!r}")
-    if system == "model" and store is None:
-        raise ConfigurationError("system 'model' needs a parameter store")
+    if system == "model" and (store is None or store.arch != "align"):
+        raise ConfigurationError("system 'model' needs an 'align' parameter store")
     base = Path(base_dir)
     report = EvalReport(system=system)
     for row in manifest_rows:

@@ -13,10 +13,9 @@ Two evaluation paths share one parameter store:
   latency. Weights and batch-norm statistics are read when the engine is
   built; batch-norm runs as a per-channel affine.
 
-The baseline variant ("cruse") is the same network with the alignment block
-removed; its second input channel is expected to carry externally aligned
-far-end features, and its parameter count differs from the aligned model by
-exactly the alignment projections.
+The baseline variant ("cruse") is ``forward`` with the alignment block
+skipped: its far-end features must already be aligned, and its parameter
+count differs from the aligned model by exactly the alignment projections.
 """
 
 from __future__ import annotations
@@ -244,9 +243,7 @@ def init_params(cfg: ModelConfig, seed: int = 0, arch: str = "align") -> ParamSt
     for name, shape in param_shapes(cfg, arch).items():
         if name.endswith(".gamma"):
             data = np.ones(shape)
-        elif name.endswith((".beta", ".b", ".bq", ".bk")) and name != "mask.b":
-            data = np.zeros(shape)
-        elif name == "mask.b":
+        elif name.endswith((".beta", ".b", ".bq", ".bk")):
             data = np.zeros(shape)
         elif name == "mask.gain":
             data = np.ones(shape)
@@ -419,69 +416,33 @@ def forward(store: ParamStore, mic_feat, far_feat, mode: str = "infer",
     """Full graph forward. Inputs are (1, t, n_bins) log-power features.
 
     Returns (mask, delay_distribution); the mask is a Tensor in [0, gain]
-    of shape (1, t, n_bins). ``mode`` selects batch-norm behaviour.
+    of shape (1, t, n_bins). ``mode`` selects batch-norm behaviour. A
+    "cruse" store skips the alignment block: ``far_feat`` must already be
+    aligned, and the distribution is None.
     """
-    if store.arch != "align":
-        raise ConfigurationError("forward() requires an 'align' parameter store")
+    cfg = store.cfg
     mic_feat = mic_feat if isinstance(mic_feat, Tensor) else Tensor(mic_feat)
     far_feat = far_feat if isinstance(far_feat, Tensor) else Tensor(far_feat)
     if mic_feat.data.shape != far_feat.data.shape:
         raise ShapeError("mic and far feature shapes must match")
-    if mic_feat.data.shape[0] != 1 or mic_feat.data.shape[2] != store.cfg.n_bins:
-        raise ShapeError(f"expected (1, t, {store.cfg.n_bins}) features")
+    if mic_feat.data.shape[0] != 1 or mic_feat.data.shape[2] != cfg.n_bins:
+        raise ShapeError(f"expected (1, t, {cfg.n_bins}) features")
 
     m1 = _conv_block(store, "mic1", mic_feat, mode)
     m2 = _conv_block(store, "mic2", m1, mode)
     f1 = _conv_block(store, "far1", far_feat, mode)
     f2 = _conv_block(store, "far2", f1, mode)
-    aligned, dist = align_block(m2, f2, store, mode=align_mode)
-    mask = _trunk(store, m1, m2, f2_in=aligned, mode=mode)
-    if isinstance(dist, Tensor):
-        dist = DelayDistribution(dist.data, mode="utterance")
-    return mask, dist
-
-
-def cruse_forward(store: ParamStore, stacked_feat, mode: str = "infer") -> Tensor:
-    """Baseline without the alignment block.
-
-    ``stacked_feat`` is (2, t, n_bins): channel 0 the mic features, channel 1
-    externally aligned far-end features. Identical topology otherwise, so the
-    parameter delta against the aligned model is exactly the projections.
-    """
-    if store.arch != "cruse":
-        raise ConfigurationError("cruse_forward() requires a 'cruse' parameter store")
-    stacked_feat = stacked_feat if isinstance(stacked_feat, Tensor) else Tensor(stacked_feat)
-    if stacked_feat.data.shape[0] != 2 or stacked_feat.data.shape[2] != store.cfg.n_bins:
-        raise ShapeError(f"expected (2, t, {store.cfg.n_bins}) stacked features")
-    mic_in = _slice_channel(stacked_feat, 0)
-    far_in = _slice_channel(stacked_feat, 1)
-    m1 = _conv_block(store, "mic1", mic_in, mode)
-    m2 = _conv_block(store, "mic2", m1, mode)
-    f1 = _conv_block(store, "far1", far_in, mode)
-    f2 = _conv_block(store, "far2", f1, mode)
-    return _trunk(store, m1, m2, f2_in=f2, mode=mode)
-
-
-def _slice_channel(x: Tensor, c: int) -> Tensor:
-    def bwd(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            full[c] = g[0]
-            x._accumulate(full)
-
-    return ad._make(x.data[c : c + 1].copy(), (x,), bwd)
-
-
-def _trunk(store: ParamStore, m1: Tensor, m2: Tensor, f2_in: Tensor, mode: str) -> Tensor:
-    cfg = store.cfg
-    x = ad.concat([m2, f2_in], axis=0)
-    e3 = _conv_block(store, "enc3", x, mode)
+    dist = None
+    if store.arch == "align":
+        f2, dist = align_block(m2, f2, store, mode=align_mode)
+        if isinstance(dist, Tensor):
+            dist = DelayDistribution(dist.data, mode="utterance")
+    e3 = _conv_block(store, "enc3", ad.concat([m2, f2], axis=0), mode)
     e4 = _conv_block(store, "enc4", e3, mode)
-    flat = _flatten_cf(e4)
     h0 = Tensor(np.zeros(cfg.gru_hidden))
-    h = ad.gru_seq(flat, h0, store["gru.wih"], store["gru.whh"], store["gru.b"])
+    h = ad.gru_seq(_flatten_cf(e4), h0, store["gru.wih"], store["gru.whh"], store["gru.b"])
     u = _unflatten_cf(h, cfg.gru_channels, cfg.enc_freqs[-1])
-    return _decoder(store, [m1, m2, e3, e4], u, mode)
+    return _decoder(store, [m1, m2, e3, e4], u, mode), dist
 
 
 # -- mask application and end-to-end enhancement -----------------------------------
@@ -514,7 +475,10 @@ def enhance(mic: AudioClip, far: AudioClip, store: ParamStore,
             stft_cfg: StftConfig | None = None, mode: str = "utterance",
             force_identity_mask: bool = False):
     """stft -> features -> forward -> mask -> istft. Output length equals the
-    mic length (zero-padded tail past the last complete frame)."""
+    mic length (zero-padded tail past the last complete frame).
+
+    A "cruse" store runs in utterance mode only, on a ``far`` that is already
+    aligned to ``mic``; ``forward`` gives it no delay distribution (None)."""
     stft_cfg = stft_cfg or StftConfig()
     mic_s, far_s = _prepare_pair(mic, far, stft_cfg)
 

@@ -23,7 +23,7 @@ from .data import Scenario
 from .dsp import AudioClip, StftConfig
 from .errors import ConfigurationError, NumericsError
 from .evaluation import align_success, erle
-from .model import ParamStore, apply_mask, cruse_forward, enhance, forward
+from .model import ParamStore, enhance, forward
 from .params_io import load_params, save_params
 
 PAPER_BATCH = 400
@@ -99,16 +99,12 @@ def clip_loss(store: ParamStore, sc: Scenario, loss_cfg: LossConfig,
     spec_m = dsp.stft(AudioClip(sc.mic.samples[:n]), stft_cfg)
     spec_const = np.stack([spec_m.data.real, spec_m.data.imag])
 
-    if store.arch == "align":
-        spec_f = dsp.stft(AudioClip(sc.far.samples[:n]), stft_cfg)
-        mask, dist = forward(store, dsp.log_power(spec_m), dsp.log_power(spec_f),
-                             mode="train", align_mode="utterance")
-    else:
-        aligned = apply_delay(AudioClip(sc.far.samples[:n]), sc.delay)
-        spec_f = dsp.stft(aligned, stft_cfg)
-        stacked = np.concatenate([dsp.log_power(spec_m), dsp.log_power(spec_f)], axis=0)
-        mask = cruse_forward(store, stacked, mode="train")
-        dist = None
+    far = AudioClip(sc.far.samples[:n])
+    if store.arch == "cruse":
+        far = apply_delay(far, sc.delay)  # the ground-truth alignment the baseline trains on
+    spec_f = dsp.stft(far, stft_cfg)
+    mask, dist = forward(store, dsp.log_power(spec_m), dsp.log_power(spec_f),
+                         mode="train", align_mode="utterance")
 
     t = spec_m.n_frames
     mask2d = ad.reshape(mask, (t, stft_cfg.n_bins))
@@ -200,22 +196,6 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
-def cruse_enhance(store: ParamStore, mic: AudioClip, far: AudioClip,
-                  stft_cfg: StftConfig | None = None) -> AudioClip:
-    """Enhancement through the baseline: the caller is responsible for any
-    external alignment of ``far`` before this call."""
-    stft_cfg = stft_cfg or StftConfig()
-    spec_m = dsp.stft(mic, stft_cfg)
-    spec_f = dsp.stft(far, stft_cfg)
-    stacked = np.concatenate([dsp.log_power(spec_m), dsp.log_power(spec_f)], axis=0)
-    with ad.no_grad():
-        mask = cruse_forward(store, stacked, mode="infer")
-    enhanced = dsp.istft(apply_mask(mask.data, spec_m), stft_cfg)
-    full = np.zeros(len(mic))
-    full[: len(enhanced)] = enhanced.samples
-    return AudioClip(full)
-
-
 def validate(store: ParamStore, val_set: list[Scenario],
              stft_cfg: StftConfig | None = None) -> dict:
     """Mean ERLE and alignment top-1 (±1 frame) over a fixed validation set."""
@@ -227,7 +207,7 @@ def validate(store: ParamStore, val_set: list[Scenario],
             hits.append(align_success(int(dist.argmax()), sc.delay, stft_cfg.hop))
         else:
             # validation mirrors the training condition: ground-truth alignment
-            out = cruse_enhance(store, sc.mic, apply_delay(sc.far, sc.delay), stft_cfg)
+            out, _ = enhance(sc.mic, apply_delay(sc.far, sc.delay), store, stft_cfg)
         erles.append(erle(sc.mic, out))
     result = {"val_erle_db": float(np.mean(erles))}
     result["align_top1"] = float(np.mean(hits)) if hits else None

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aligncruse import autodiff as ad
 from aligncruse.autodiff import (
     BnStats,
     Tensor,
+    add,
     backward,
     batch_norm,
     ccmse_loss,
@@ -19,10 +19,8 @@ from aligncruse.autodiff import (
     istft_graph,
     matmul,
     max_pool_freq,
-    mean_all,
     mul,
     no_grad,
-    pow_const,
     sigmoid,
     softmax_lastdim,
     stft_graph,
@@ -58,7 +56,7 @@ def conv_oracle(x, w, b, stride_f):
 
 def test_sum_square_grad_exact():
     x = Tensor(RNG.standard_normal(17), requires_grad=True)
-    loss = sum_all(pow_const(x, 2))
+    loss = sum_all(mul(x, x))
     backward(loss)
     assert np.array_equal(x.grad, 2 * x.data)
 
@@ -79,9 +77,9 @@ def test_nonscalar_root_is_error():
 
 
 def test_nonfinite_op_output_raises():
-    x = Tensor(np.array([1000.0]), requires_grad=True)
-    with pytest.raises(NumericsError):
-        ad.exp(x)
+    x = Tensor(np.array([1e200]), requires_grad=True)
+    with np.errstate(over="ignore"), pytest.raises(NumericsError):
+        mul(x, x)
 
 
 def test_no_grad_builds_no_graph():
@@ -94,7 +92,7 @@ def test_no_grad_builds_no_graph():
 
 def test_grad_accumulates_across_uses():
     x = Tensor(np.array([3.0]), requires_grad=True)
-    y = sum_all(mul(x, x) + x)  # d/dx (x^2 + x) = 2x + 1
+    y = sum_all(add(mul(x, x), x))  # d/dx (x^2 + x) = 2x + 1
     backward(y)
     np.testing.assert_allclose(x.grad, [7.0])
 

@@ -73,6 +73,18 @@ def test_enhance_emit_delay(tmp_path, tiny_ckpt, wav_pair):
     assert len(payload["probs"]) == ModelConfig.tiny().d_max
 
 
+def test_enhance_emit_delay_rejects_cruse_model(tmp_path, wav_pair, capsys):
+    mic_p, far_p = wav_pair
+    ckpt = tmp_path / "cruse.acrs"
+    save_params(ckpt, init_params(ModelConfig.tiny(), seed=0, arch="cruse"))
+    dd = tmp_path / "d.json"
+    code = main(["enhance", "--model", str(ckpt), "--mic", str(mic_p),
+                 "--far", str(far_p), "--out", str(tmp_path / "o.wav"),
+                 "--emit-delay", str(dd), "--mode", "utterance"])
+    assert code == 1
+    assert not dd.exists()
+
+
 def test_align_global(wav_pair, capsys):
     mic_p, far_p = wav_pair
     code = main(["align", "estimate", "--mode", "global", "--mic", str(mic_p),

@@ -184,8 +184,3 @@ def test_surrogate_deterministic_and_bounded():
     b = speech_surrogate(16000, np.random.default_rng(3))
     assert np.array_equal(a, b)
     assert np.max(np.abs(a)) <= 1.0
-
-
-def test_load_corpus_missing_dir_raises(tmp_path):
-    with pytest.raises(ConfigurationError):
-        data.load_corpus_clip(tmp_path, np.random.default_rng(0), 1000)

@@ -128,6 +128,13 @@ def test_delay_recovery_validation():
         delay_recovery_report("model", [], ".")
 
 
+def test_delay_recovery_model_rejects_cruse_store(tmp_path):
+    rows = make_ld_set("m", 1, seed=4, out_dir=tmp_path, clip_len=2.0)
+    store = init_params(ModelConfig.tiny(), seed=0, arch="cruse")
+    with pytest.raises(ConfigurationError):
+        delay_recovery_report("model", rows, tmp_path, store=store)
+
+
 def test_benchmark_runtime_tiny():
     store = init_params(ModelConfig.tiny(), seed=1)
     out = benchmark_runtime(store, n_frames=300, warmup=20)

@@ -14,7 +14,6 @@ from aligncruse.model import (
     StreamingEnhancer,
     align_block,
     apply_mask,
-    cruse_forward,
     enhance,
     forward,
     init_params,
@@ -246,15 +245,9 @@ def test_forward_shape_mismatch():
 def test_cruse_mask_shape():
     store = tiny_store(arch="cruse")
     stacked = rand_feats(7, seed=20, channels=2)
-    mask = cruse_forward(store, stacked, mode="infer")
+    mask, dist = forward(store, stacked[:1], stacked[1:], mode="infer")
     assert mask.data.shape == (1, 7, 161)
-
-
-def test_cruse_rejects_align_store():
-    with pytest.raises(ConfigurationError):
-        cruse_forward(tiny_store(), rand_feats(4, channels=2))
-    with pytest.raises(ConfigurationError):
-        forward(tiny_store(arch="cruse"), rand_feats(4), rand_feats(4))
+    assert dist is None
 
 
 def test_cruse_gradcheck_end_to_end():
@@ -262,10 +255,11 @@ def test_cruse_gradcheck_end_to_end():
                       dec_channels=(3, 4, 4), align_proj=4, d_max=5, gru_channels=2)
     store = init_params(cfg, seed=2, arch="cruse")
     feats = np.random.default_rng(0).standard_normal((2, 4, 161)) * 0.5
+    mic, far = feats[:1], feats[1:]
 
     def loss_of():
-        mask = cruse_forward(store, feats, mode="infer")
-        return ad.mean_all(ad.pow_const(mask, 2))
+        mask, _ = forward(store, mic, far, mode="infer")
+        return ad.mul(ad.sum_all(ad.mul(mask, mask)), Tensor(np.asarray(1.0 / mask.size)))
 
     loss = loss_of()
     ad.backward(loss)
@@ -281,10 +275,10 @@ def test_cruse_gradcheck_end_to_end():
             eps = 1e-5
             flat[j] = orig + eps
             with ad.no_grad():
-                fp = float(cruse_forward(store, feats, mode="infer").data.__pow__(2).mean())
+                fp = float(forward(store, mic, far, mode="infer")[0].data.__pow__(2).mean())
             flat[j] = orig - eps
             with ad.no_grad():
-                fm = float(cruse_forward(store, feats, mode="infer").data.__pow__(2).mean())
+                fm = float(forward(store, mic, far, mode="infer")[0].data.__pow__(2).mean())
             flat[j] = orig
             num = (fp - fm) / (2 * eps)
             worst = max(worst, abs(num - grad[j]) / max(1.0, abs(num), abs(grad[j])))

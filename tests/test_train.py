@@ -16,6 +16,7 @@ from aligncruse.train import (
     clip_loss,
     loss_ccmse,
     train_loop,
+    validate,
 )
 
 MICRO = ModelConfig(mic_channels=(2, 3, 4, 2), far_channels=(1, 2),
@@ -115,6 +116,16 @@ def test_clip_loss_builds_graph_both_archs():
         assert float(loss.data) > 0
         ad.backward(loss)
         assert store["mic1.w"].grad is not None
+
+
+def test_validate_both_archs():
+    val_set = micro_scenarios(2, seed=12)
+    cruse = validate(init_params(MICRO, seed=1, arch="cruse"), val_set)
+    assert np.isfinite(cruse["val_erle_db"])
+    assert cruse["align_top1"] is None
+    align = validate(init_params(MICRO, seed=1), val_set)
+    assert np.isfinite(align["val_erle_db"])
+    assert 0.0 <= align["align_top1"] <= 1.0
 
 
 # -- adam --------------------------------------------------------------------------
