@@ -5,6 +5,14 @@ hand-derived backward passes for causal 2-D convolution, frequency-transposed
 convolution, GRU, batch norm, pooling, the alignment score/shift kernels and
 the spectral ops used by the loss. Every backward here is validated against
 central finite differences in the test suite.
+
+The convolutions are im2col GEMMs. The causal conv unfolds its input along
+frequency once; each time tap is then a GEMM with a window of that copy, in
+the forward and the weight gradient, and the input gradient is one GEMM with
+the output gradient stacked once per time tap. The transposed conv is one
+GEMM plus k_f strided adds. The delay kernels of the alignment block are
+banded Toeplitz products in time blocks of about d_max frames, so their time
+and memory grow linearly with the clip.
 """
 
 from __future__ import annotations
@@ -240,14 +248,15 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def elu(a: Tensor) -> Tensor:
-    neg = a.data < 0
-    data = a.data.copy()
-    data[neg] = np.expm1(a.data[neg])
+    data = np.expm1(np.minimum(a.data, 0.0))
+    data += np.maximum(a.data, 0.0)
 
     def bwd(g):
         if a.requires_grad:
-            dg = np.array(g, dtype=np.float64)
-            dg[neg] *= data[neg] + 1.0
+            # dy/dx is y + 1 below 0 and 1 above it, both min(y, 0) + 1
+            dg = np.minimum(data, 0.0)
+            dg += 1.0
+            dg *= g
             a._accumulate(dg, own=True)
 
     return _make(data, (a,), bwd)
@@ -268,12 +277,30 @@ def softmax_lastdim(a: Tensor) -> Tensor:
 
 # -- convolutions -----------------------------------------------------------
 
+def _tap_bins(c: int, pad: int, stride: int, n_src: int, n_dst: int):
+    """Tap c of a frequency kernel links source bin q to destination bin
+    stride * q + c - pad. Returns the source slice and the strided
+    destination slice of the pairs with both bins in range."""
+    q0 = max(0, -((c - pad) // stride))
+    q1 = min(n_src, (n_dst - 1 + pad - c) // stride + 1)
+    if q1 <= q0:
+        return slice(0, 0), slice(0, 0)
+    u0 = stride * q0 + c - pad
+    return slice(q0, q1), slice(u0, u0 + stride * (q1 - q0 - 1) + 1, stride)
+
+
 def conv2d_causal(x: Tensor, w: Tensor, b: Tensor, stride_f: int = 1) -> Tensor:
     """Causal-in-time 2-D convolution over (channel, time, frequency) maps.
 
     Time is padded with k_t - 1 zero frames on the past side only, so output
     frame t never sees input frames > t. Frequency is padded symmetrically
     by (k_f - 1) // 2.
+
+    The input is copied once, unfolded along frequency: ``cols`` row (i, c)
+    at frame tau' and output bin p holds input channel i at padded frame
+    tau' and bin stride_f * p + c - pad_f. Time tap a of output frame tau is
+    then frame tau + a of it, a contiguous window, so the forward and the
+    weight gradient are one GEMM per time tap and need no further copy.
     """
     c_in, t, f = x.data.shape
     c_out, c_in_w, kt, kf = w.data.shape
@@ -287,39 +314,50 @@ def conv2d_causal(x: Tensor, w: Tensor, b: Tensor, stride_f: int = 1) -> Tensor:
     if f_out < 1:
         raise ShapeError("frequency axis too small for this kernel")
 
-    xp = np.pad(x.data, ((0, 0), (pad_t, 0), (pad_f, pad_f)))
-    s0, s1, s2 = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(t, f_out, c_in, kt, kf),
-        strides=(s1, s2 * stride_f, s0, s1, s2),
-        writeable=False,
-    )
-    cols = view.reshape(t * f_out, c_in * kt * kf)
-    wmat = w.data.reshape(c_out, -1)
-    out = (cols @ wmat.T).reshape(t, f_out, c_out).transpose(2, 0, 1) + b.data[:, None, None]
-    span = stride_f * (f_out - 1) + 1
+    taps = [_tap_bins(c_, pad_f, stride_f, f_out, f) for c_ in range(kf)]
+    cols = np.zeros((c_in, kf, t + pad_t, f_out))
+    for c_, (out_bins, in_bins) in enumerate(taps):
+        cols[:, c_, pad_t:, out_bins] = x.data[:, :, in_bins]
+    cols = cols.reshape(c_in * kf, -1)
+    n = t * f_out
+    # (c_out, c_in, k_t, k_f) -> one (c_out, c_in * k_f) matrix per time tap
+    w_taps = w.data.transpose(2, 0, 1, 3).reshape(kt, c_out, c_in * kf)
+
+    def window(a_):
+        return cols[:, a_ * f_out : a_ * f_out + n]
+
+    out = w_taps[0] @ window(0)
+    for a_ in range(1, kt):
+        out += w_taps[a_] @ window(a_)
+    out = out.reshape(c_out, t, f_out)
+    out += b.data[:, None, None]
 
     def bwd(g):
+        g2 = g.reshape(c_out, n)
         if b.requires_grad:
-            b._accumulate(g.sum(axis=(1, 2)))
-        if w.requires_grad and w.grad is None:
-            w.grad = np.zeros_like(w.data)
-        dxp = np.zeros_like(xp) if x.requires_grad else None
-        for a_ in range(kt):
-            for c_ in range(kf):
-                if w.requires_grad:
-                    xs = xp[:, a_ : a_ + t, c_ : c_ + span : stride_f]
-                    w.grad[:, :, a_, c_] += np.tensordot(g, xs, axes=([1, 2], [1, 2]))
-                if dxp is not None:
-                    dxp[:, a_ : a_ + t, c_ : c_ + span : stride_f] += np.tensordot(
-                        w.data[:, :, a_, c_], g, axes=([0], [0])
-                    )
+            b._accumulate(g2.sum(axis=1))
+        if w.requires_grad:
+            dw = np.empty(w.data.shape)
+            for a_ in range(kt):
+                dw[:, :, a_, :] = (g2 @ window(a_).T).reshape(c_out, c_in, kf)
+            w._accumulate(dw, own=True)
         if x.requires_grad:
-            x._accumulate(np.ascontiguousarray(dxp[:, pad_t : pad_t + t, pad_f : pad_f + f]),
-                          own=True)
+            # input frame tau gets tap a of output frame tau + pad_t - a:
+            # stack g shifted once per tap, then one GEMM gives every frame
+            g_taps = np.empty((kt, c_out, t, f_out))
+            g3 = g2.reshape(c_out, t, f_out)
+            for a_ in range(kt):
+                shift = min(t, pad_t - a_)
+                g_taps[a_, :, : t - shift] = g3[:, shift:]
+                g_taps[a_, :, t - shift :] = 0.0
+            w_cat = w.data.transpose(1, 3, 2, 0).reshape(c_in * kf, kt * c_out)
+            dcols = (w_cat @ g_taps.reshape(kt * c_out, n)).reshape(c_in, kf, t, f_out)
+            dx = np.zeros_like(x.data)
+            for c_, (out_bins, in_bins) in enumerate(taps):
+                dx[:, :, in_bins] += dcols[:, c_, :, out_bins]
+            x._accumulate(dx, own=True)
 
-    return _make(np.ascontiguousarray(out), (x, w, b), bwd)
+    return _make(out, (x, w, b), bwd)
 
 
 def conv2d_transpose(
@@ -329,6 +367,8 @@ def conv2d_transpose(
 
     Output width is (f - 1) * stride_f - 2 + k_f + out_pad_f; the map is the
     adjoint of conv2d_causal with k_t = 1 and the same frequency geometry.
+    The forward is one (k_f * c_out, c_in) GEMM and k_f strided adds; the
+    backward is one GEMM for each input gradient.
     """
     c_in, t, f = x.data.shape
     c_in_w, c_out, kt, kf = w.data.shape
@@ -340,29 +380,33 @@ def conv2d_transpose(
         raise ShapeError("out_pad_f must be 0 or 1")
     pad = (kf - 1) // 2
     f_out = (f - 1) * stride_f - 2 * pad + kf + out_pad_f
-    width = (f - 1) * stride_f + kf
 
-    full = np.zeros((c_out, t, width))
-    for c_ in range(kf):
-        full[:, :, c_ : c_ + stride_f * (f - 1) + 1 : stride_f] += np.tensordot(
-            w.data[:, :, 0, c_], x.data, axes=([0], [0])
-        )
-    out = full[:, :, pad : pad + f_out] + b.data[:, None, None]
+    taps = [_tap_bins(c_, pad, stride_f, f, f_out) for c_ in range(kf)]
+    # (c_in, c_out, 1, k_f) -> (k_f * c_out, c_in), rows in (tap, channel) order
+    wmat = np.ascontiguousarray(w.data[:, :, 0, :].transpose(2, 1, 0)).reshape(kf * c_out, c_in)
+    x2 = x.data.reshape(c_in, t * f)
+    y = (wmat @ x2).reshape(kf, c_out, t, f)
+    out = np.empty((c_out, t, f_out))
+    out[:] = b.data[:, None, None]
+    for c_, (in_bins, out_bins) in enumerate(taps):
+        out[:, :, out_bins] += y[c_, :, :, in_bins]
 
     def bwd(g):
         if b.requires_grad:
             b._accumulate(g.sum(axis=(1, 2)))
-        gfull = np.zeros((c_out, t, width))
-        gfull[:, :, pad : pad + f_out] = g
-        for c_ in range(kf):
-            sl = gfull[:, :, c_ : c_ + stride_f * (f - 1) + 1 : stride_f]
-            if x.requires_grad:
-                x._accumulate(np.tensordot(w.data[:, :, 0, c_], sl, axes=([1], [0])))
-            if w.requires_grad:
-                w.grad = w.grad if w.grad is not None else np.zeros_like(w.data)
-                w.grad[:, :, 0, c_] += np.tensordot(x.data, sl, axes=([1, 2], [1, 2]))
+        if not (x.requires_grad or w.requires_grad):
+            return
+        g_taps = np.zeros((kf, c_out, t, f))
+        for c_, (in_bins, out_bins) in enumerate(taps):
+            g_taps[c_, :, :, in_bins] = g[:, :, out_bins]
+        g_taps = g_taps.reshape(kf * c_out, t * f)
+        if x.requires_grad:
+            x._accumulate((wmat.T @ g_taps).reshape(c_in, t, f), own=True)
+        if w.requires_grad:
+            dw = (g_taps @ x2.T).reshape(kf, c_out, c_in).transpose(2, 1, 0)[:, :, None, :]
+            w._accumulate(dw)
 
-    return _make(np.ascontiguousarray(out), (x, w, b), bwd)
+    return _make(out, (x, w, b), bwd)
 
 
 def max_pool_freq(x: Tensor, k: int) -> Tensor:
@@ -440,24 +484,29 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running: BnStats | None,
 
     scale = gamma.data * inv_std
     shift = beta.data - mu * scale
-    out = x.data * scale[:, None, None] + shift[:, None, None]
+    out = x.data * scale[:, None, None]
+    out += shift[:, None, None]
 
     def bwd(g):
+        train_dx = x.requires_grad and mode == "train"
+        if gamma.requires_grad or train_dx:
+            xhat = x.data - mu[:, None, None]
+            xhat *= inv_std[:, None, None]
+            sum_gx = np.einsum("ctf,ctf->c", g, xhat)
+        if beta.requires_grad or train_dx:
+            sum_g = np.einsum("ctf->c", g)
         if beta.requires_grad:
-            beta._accumulate(g.sum(axis=(1, 2)))
-        if gamma.requires_grad or (x.requires_grad and mode == "train"):
-            xhat = (x.data - mu[:, None, None]) * inv_std[:, None, None]
+            beta._accumulate(sum_g)
         if gamma.requires_grad:
-            gamma._accumulate((g * xhat).sum(axis=(1, 2)))
+            gamma._accumulate(sum_gx)
         if x.requires_grad:
-            if mode == "train":
-                dxhat = g * gamma.data[:, None, None]
-                s1 = dxhat.sum(axis=(1, 2), keepdims=True)
-                s2 = (dxhat * xhat).sum(axis=(1, 2), keepdims=True)
-                x._accumulate(inv_std[:, None, None] * (dxhat - s1 / n - xhat * s2 / n),
-                              own=True)
-            else:
-                x._accumulate(g * scale[:, None, None], own=True)
+            dx = g * scale[:, None, None]
+            if train_dx:
+                # dx = scale * (g - sum_g / n - xhat * sum_gx / n), per channel
+                xhat *= (-scale * sum_gx / n)[:, None, None]
+                xhat -= (scale * sum_g / n)[:, None, None]
+                dx += xhat
+            x._accumulate(dx, own=True)
 
     return _make(out, (x, gamma, beta), bwd)
 
@@ -536,44 +585,111 @@ def gru_seq(x: Tensor, h0: Tensor, wih: Tensor, whh: Tensor, b: Tensor) -> Tenso
 
 
 # -- alignment kernels --------------------------------------------------------
+#
+# Both kernels are products with the lower-triangular banded Toeplitz matrix
+# T[t, s] = w[t - s] for 0 <= t - s < d_max. Time runs in blocks of
+# ``block`` frames; block [t0, t0 + b) reads frames [t0 - d_max + 1, t0 + b),
+# so each block is one product with the same (block, block + d_max - 1) band
+# and nothing of size (t, t) is ever built.
+
+def _delay_block(d_max: int, t: int) -> int:
+    """Frames per block: d_max, so at most about half of a band's products
+    are zeros, but at least 32, so a small d_max does not mean a product per
+    frame, and no more than the clip."""
+    return max(1, min(t, max(d_max, 32)))
+
+
+def _delay_band(w: np.ndarray, block: int) -> np.ndarray:
+    """band[i, j] = w[i + d_max - 1 - j]: the weight of frame t0 - d_max + 1 + j
+    in output frame t0 + i."""
+    d_max = w.shape[0]
+    band = np.zeros((block, block + d_max - 1))
+    rs, cs = band.strides
+    diag = np.lib.stride_tricks.as_strided(band, shape=(block, d_max), strides=(rs + cs, cs))
+    diag[:] = w[::-1]
+    return band
+
+
+def _delay_apply(band: np.ndarray, x: np.ndarray, d_max: int) -> np.ndarray:
+    """out[:, t] = sum_d w[d] * x[:, t - d] along axis 1, zero before frame 0."""
+    t = x.shape[1]
+    block = band.shape[0]
+    out = np.empty_like(x)
+    for t0 in range(0, t, block):
+        b = min(block, t - t0)
+        lo = max(0, t0 - d_max + 1)
+        j0 = lo - (t0 - d_max + 1)
+        np.matmul(band[:b, j0 : b + d_max - 1], x[:, lo : t0 + b], out=out[:, t0 : t0 + b])
+    return out
+
+
+def _delay_adjoint(band: np.ndarray, g: np.ndarray, d_max: int) -> np.ndarray:
+    """dx[:, s] = sum_d w[d] * g[:, s + d] along axis 1, zero past the last
+    frame: the product with the band's transpose."""
+    t = g.shape[1]
+    block = band.shape[0]
+    flip = np.ascontiguousarray(band[::-1, ::-1])  # flip[i, j] = w[j - i]
+    dx = np.empty_like(g)
+    for s0 in range(0, t, block):
+        b = min(block, t - s0)
+        hi = min(t, s0 + b + d_max - 1)
+        np.matmul(flip[:b, : hi - s0], g[:, s0:hi], out=dx[:, s0 : s0 + b])
+    return dx
+
+
+def _delay_corr(g: np.ndarray, x: np.ndarray, d_max: int, block: int) -> np.ndarray:
+    """out[d] = sum_t <g[:, t], x[:, t - d]> for d < d_max, from per-block
+    G . X^T products summed along their sub-diagonals."""
+    t = g.shape[1]
+    out = np.zeros(d_max)
+    for t0 in range(0, t, block):
+        b = min(block, t - t0)
+        lo = max(0, t0 - d_max + 1)
+        j0 = lo - (t0 - d_max + 1)
+        prod = np.tensordot(g[:, t0 : t0 + b], x[:, lo : t0 + b], axes=([0, 2], [0, 2]))
+        if j0:
+            padded = np.zeros((b, b + d_max - 1))
+            padded[:, j0:] = prod
+            prod = padded
+        # diags[k, i] = prod[i, i + k] holds lag d_max - 1 - k
+        rs, cs = prod.strides
+        diags = np.lib.stride_tricks.as_strided(prod, shape=(d_max, b), strides=(cs, rs + cs),
+                                                writeable=False)
+        out += diags.sum(axis=1)[::-1]
+    return out
+
 
 def delay_scores(q: Tensor, k: Tensor, d_max: int) -> Tensor:
     """scores[d] = sum_t q[t] . k[t - d]; out-of-range k contributes zero."""
     t = q.data.shape[0]
     if k.data.shape != q.data.shape:
         raise ShapeError("query/key shapes must match")
-    scores = np.zeros(d_max)
-    for d in range(min(d_max, t)):
-        scores[d] = np.sum(q.data[d:] * k.data[: t - d])
+    block = _delay_block(d_max, t)
+    scores = _delay_corr(q.data[None], k.data[None], d_max, block)
 
     def bwd(g):
-        for d in range(min(d_max, t)):
-            if q.requires_grad:
-                q.grad = q.grad if q.grad is not None else np.zeros_like(q.data)
-                q.grad[d:] += g[d] * k.data[: t - d]
-            if k.requires_grad:
-                k.grad = k.grad if k.grad is not None else np.zeros_like(k.data)
-                k.grad[: t - d] += g[d] * q.data[d:]
+        band = _delay_band(g, block)
+        if q.requires_grad:
+            q._accumulate(_delay_apply(band, k.data[None], d_max)[0], own=True)
+        if k.requires_grad:
+            k._accumulate(_delay_adjoint(band, q.data[None], d_max)[0], own=True)
 
     return _make(scores, (q, k), bwd)
 
 
 def weighted_delay_sum(x: Tensor, dist: Tensor) -> Tensor:
     """out[:, t, :] = sum_d dist[d] * x[:, t - d, :], zero-padded at the start."""
-    c, t, f = x.data.shape
+    t = x.data.shape[1]
     d_max = dist.data.shape[0]
-    out = np.zeros_like(x.data)
-    for d in range(min(d_max, t)):
-        out[:, d:, :] += dist.data[d] * x.data[: , : t - d, :]
+    block = _delay_block(d_max, t)
+    band = _delay_band(dist.data, block)
+    out = _delay_apply(band, x.data, d_max)
 
     def bwd(g):
-        for d in range(min(d_max, t)):
-            if dist.requires_grad:
-                dist.grad = dist.grad if dist.grad is not None else np.zeros_like(dist.data)
-                dist.grad[d] += np.sum(x.data[:, : t - d, :] * g[:, d:, :])
-            if x.requires_grad:
-                x.grad = x.grad if x.grad is not None else np.zeros_like(x.data)
-                x.grad[:, : t - d, :] += dist.data[d] * g[:, d:, :]
+        if dist.requires_grad:
+            dist._accumulate(_delay_corr(g, x.data, d_max, block), own=True)
+        if x.requires_grad:
+            x._accumulate(_delay_adjoint(band, g, d_max), own=True)
 
     return _make(out, (x, dist), bwd)
 

@@ -177,15 +177,20 @@ def test_online_causality():
 
 class _DirectOnlineEstimator:
     """The online estimator as a direct recompute of the whole trailing
-    window's correlation on every hop: the reference for the running sum."""
+    window's correlation on every hop: the reference for the running sum.
 
-    def __init__(self, max_delay):
-        self.max_delay = max_delay
+    One pass serves several ``max_delays``: a lag's NCC does not depend on
+    the largest lag searched, so each estimate holds its delay over the first
+    max_delay + 1 lags of one NCC, as an estimator built with that max_delay
+    would. ``push`` returns one estimate per entry of ``max_delays``.
+    """
+
+    def __init__(self, max_delays):
+        self.max_delays = tuple(max_delays)
         self._mic = np.zeros(ONLINE_WINDOW)
-        self._far = np.zeros(ONLINE_WINDOW + max_delay)
+        self._far = np.zeros(ONLINE_WINDOW + max(self.max_delays))
         self._seen = 0
-        self._held_delay = 0
-        self._held_conf = 0.0
+        self._held = [(0, 0.0)] * len(self.max_delays)
 
     def push(self, mic_frame, far_frame):
         n = len(mic_frame)
@@ -193,15 +198,14 @@ class _DirectOnlineEstimator:
         self._far = np.concatenate([self._far[n:], far_frame])
         self._seen += n
         if self._seen < MIN_HISTORY:
-            return DelayEstimate(self._held_delay, 0.0)
+            return [DelayEstimate(d, 0.0) for d, _ in self._held]
         if np.sqrt(np.mean(far_frame**2)) < SILENCE_RMS:
-            self._held_conf *= CONFIDENCE_DECAY
-            return DelayEstimate(self._held_delay, self._held_conf)
+            self._held = [(d, c * CONFIDENCE_DECAY) for d, c in self._held]
+            return [DelayEstimate(d, c) for d, c in self._held]
         w = min(ONLINE_WINDOW, self._seen)
         mic_w = self._mic[-w:]
         # lag d pairs mic[T-w:T) with far[T-w-d:T-d)
         corr = fftconvolve(self._far, mic_w[::-1], mode="valid")[::-1]
-        corr = corr[: self.max_delay + 1]
         mic_norm = np.sqrt(np.sum(mic_w * mic_w))
         far_sq = np.cumsum(self._far * self._far)
         upper = len(self._far) - np.arange(len(corr))
@@ -211,13 +215,14 @@ class _DirectOnlineEstimator:
         with np.errstate(divide="ignore", invalid="ignore"):
             ncc = np.where(denom > 0, corr / denom, 0.0)
         ncc = np.clip(ncc, -1.0, 1.0)
-        d = int(np.argmax(ncc))
-        if ncc[d] > self._held_conf + HYSTERESIS or d == self._held_delay:
-            self._held_delay = d
-            self._held_conf = float(ncc[d])
-        else:
-            self._held_conf = float(ncc[self._held_delay])
-        return DelayEstimate(self._held_delay, self._held_conf)
+        for i, (max_delay, (held_delay, held_conf)) in enumerate(zip(self.max_delays, self._held)):
+            lags = ncc[: max_delay + 1]
+            d = int(np.argmax(lags))
+            if lags[d] > held_conf + HYSTERESIS or d == held_delay:
+                self._held[i] = (d, float(lags[d]))
+            else:
+                self._held[i] = (held_delay, float(lags[held_delay]))
+        return [DelayEstimate(d, c) for d, c in self._held]
 
 
 def _hard_stream(seconds=31.0):
@@ -239,23 +244,35 @@ def _hard_stream(seconds=31.0):
     return mic, far
 
 
+RUNNING_SUM_CASES = (16000, 5328, 100, 0)
+
+
 @pytest.fixture(scope="module")
-def hard_stream():
-    return _hard_stream()
-
-
-@pytest.mark.parametrize("max_delay", [16000, 5328, 100, 0])
-def test_online_running_sum_matches_direct_recompute(hard_stream, max_delay):
-    mic, far = hard_stream
-    fast = OnlineDelayEstimator(max_delay=max_delay)
-    ref = _DirectOnlineEstimator(max_delay)
+def running_vs_direct():
+    """One hop loop over the hard stream for every max_delay case: per case,
+    the running-sum estimates and the direct recompute's, hop by hop."""
+    mic, far = _hard_stream()
+    fast = [OnlineDelayEstimator(max_delay=d) for d in RUNNING_SUM_CASES]
+    ref = _DirectOnlineEstimator(RUNNING_SUM_CASES)
+    got = {d: [] for d in RUNNING_SUM_CASES}
+    want = {d: [] for d in RUNNING_SUM_CASES}
     n_hops = len(mic) // 160
     assert n_hops * 160 >= 30 * 16000  # 14 recomputes of the window
     for k in range(n_hops):
         m, f = mic[k * 160 : (k + 1) * 160], far[k * 160 : (k + 1) * 160]
-        got, want = fast.push(m, f), ref.push(m, f)
-        assert got.delay == want.delay, k
-        assert abs(got.confidence - want.confidence) <= 1e-9, k
+        for d, est, direct in zip(RUNNING_SUM_CASES, fast, ref.push(m, f)):
+            got[d].append(est.push(m, f))
+            want[d].append(direct)
+    return got, want
+
+
+@pytest.mark.parametrize("max_delay", RUNNING_SUM_CASES)
+def test_online_running_sum_matches_direct_recompute(running_vs_direct, max_delay):
+    got, want = running_vs_direct
+    assert len(got[max_delay]) == len(want[max_delay]) == 31 * 100
+    for k, (g, w) in enumerate(zip(got[max_delay], want[max_delay])):
+        assert g.delay == w.delay, k
+        assert abs(g.confidence - w.confidence) <= 1e-9, k
 
 
 def test_online_running_sum_accurate_after_level_drop():

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aligncruse.autodiff import (
+    BN_EPS,
     BnStats,
     Tensor,
     add,
@@ -50,6 +53,101 @@ def conv_oracle(x, w, b, stride_f):
                             out[o, tau, phi] += w[o, i, a, c] * xp[i, tau + a, phi * stride_f + c]
         out[o] += b[o]
     return out
+
+
+def _run(op, arrays, g):
+    """Output of ``op`` on fresh leaves, and each leaf's gradient of <out, g>."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    backward(sum_all(mul(out, Tensor(g))))
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+def _assert_close(got, want, tol=1e-12):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= tol * max(1.0, np.max(np.abs(want), initial=0.0))
+
+
+# Loop references: the per-tap and per-lag kernels that the GEMM and banded
+# ops replaced, each returning the output and the gradients of <out, g>.
+
+def _conv_ref(x, w, b, stride_f, g):
+    c_in, t, f = x.shape
+    c_out, _, kt, kf = w.shape
+    pad_f = (kf - 1) // 2
+    xp = np.pad(x, ((0, 0), (kt - 1, 0), (pad_f, pad_f)))
+    f_out = (f + 2 * pad_f - kf) // stride_f + 1
+    span = stride_f * (f_out - 1) + 1
+    out = np.zeros((c_out, t, f_out)) + b[:, None, None]
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for a in range(kt):
+        for c in range(kf):
+            xs = xp[:, a : a + t, c : c + span : stride_f]
+            out += np.tensordot(w[:, :, a, c], xs, axes=([1], [0]))
+            dw[:, :, a, c] = np.tensordot(g, xs, axes=([1, 2], [1, 2]))
+            dxp[:, a : a + t, c : c + span : stride_f] += np.tensordot(w[:, :, a, c], g, axes=([0], [0]))
+    return out, [dxp[:, kt - 1 :, pad_f : pad_f + f], dw, g.sum(axis=(1, 2))]
+
+
+def _conv_transpose_ref(x, w, b, stride_f, out_pad_f, g):
+    c_in, t, f = x.shape
+    _, c_out, _, kf = w.shape
+    pad = (kf - 1) // 2
+    f_out = (f - 1) * stride_f - 2 * pad + kf + out_pad_f
+    width = (f - 1) * stride_f + kf
+    span = stride_f * (f - 1) + 1
+    full = np.zeros((c_out, t, width))
+    gfull = np.zeros((c_out, t, width))
+    gfull[:, :, pad : pad + f_out] = g
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for c in range(kf):
+        full[:, :, c : c + span : stride_f] += np.tensordot(w[:, :, 0, c], x, axes=([0], [0]))
+        gs = gfull[:, :, c : c + span : stride_f]
+        dx += np.tensordot(w[:, :, 0, c], gs, axes=([1], [0]))
+        dw[:, :, 0, c] = np.tensordot(x, gs, axes=([1, 2], [1, 2]))
+    return full[:, :, pad : pad + f_out] + b[:, None, None], [dx, dw, g.sum(axis=(1, 2))]
+
+
+def _elu_ref(x, g):
+    neg = x < 0
+    y = x.copy()
+    y[neg] = np.expm1(x[neg])
+    dx = g.copy()
+    dx[neg] *= y[neg] + 1.0
+    return y, dx
+
+
+def _bn_grad_ref(x, gamma, mu, inv_std, train, g):
+    n = x.shape[1] * x.shape[2]
+    xhat = (x - mu[:, None, None]) * inv_std[:, None, None]
+    if train:
+        dxhat = g * gamma[:, None, None]
+        s1 = dxhat.sum(axis=(1, 2), keepdims=True)
+        s2 = (dxhat * xhat).sum(axis=(1, 2), keepdims=True)
+        dx = inv_std[:, None, None] * (dxhat - s1 / n - xhat * s2 / n)
+    else:
+        dx = g * (gamma * inv_std)[:, None, None]
+    return [dx, (g * xhat).sum(axis=(1, 2)), g.sum(axis=(1, 2))]
+
+
+def _delay_scores_ref(q, k, d_max, g):
+    t = q.shape[0]
+    scores, dq, dk = np.zeros(d_max), np.zeros_like(q), np.zeros_like(k)
+    for d in range(min(d_max, t)):
+        scores[d] = np.sum(q[d:] * k[: t - d])
+        dq[d:] += g[d] * k[: t - d]
+        dk[: t - d] += g[d] * q[d:]
+    return scores, [dq, dk]
+
+
+def _weighted_delay_sum_ref(x, dist, g):
+    t = x.shape[1]
+    out, dx, ddist = np.zeros_like(x), np.zeros_like(x), np.zeros_like(dist)
+    for d in range(min(len(dist), t)):
+        out[:, d:] += dist[d] * x[:, : t - d]
+        ddist[d] = np.sum(x[:, : t - d] * g[:, d:])
+        dx[:, : t - d] += dist[d] * g[:, d:]
+    return out, [dx, ddist]
 
 
 # -- graph mechanics --------------------------------------------------------
@@ -108,6 +206,16 @@ def test_elu_sigmoid_at_zero():
 def test_elu_values():
     x = Tensor(np.array([-1.0, 2.0]))
     np.testing.assert_allclose(elu(x).data, [np.expm1(-1.0), 2.0])
+
+
+def test_elu_bit_identical_to_reference():
+    x = np.concatenate([[-30.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 30.0],
+                        RNG.standard_normal(50) * 3])
+    g = RNG.standard_normal(x.shape)
+    out, (dx,) = _run(elu, [x], g)
+    ref_out, ref_dx = _elu_ref(x, g)
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(dx, ref_dx)
 
 
 def test_softmax_uniform():
@@ -189,6 +297,22 @@ def test_conv_causality_exact():
         assert np.array_equal(full[:, :cut, :], part[:, :cut, :])
 
 
+@pytest.mark.parametrize("stride_f", [1, 2])
+@pytest.mark.parametrize("c_in", [1, 3])
+@pytest.mark.parametrize("t", [2, 7])  # fewer frames than time taps, and more
+def test_conv_matches_loop_reference(stride_f, c_in, t):
+    x = RNG.standard_normal((c_in, t, 11))
+    w = RNG.standard_normal((4, c_in, 4, 3))
+    b = RNG.standard_normal(4)
+    f_out = (11 + 2 - 3) // stride_f + 1
+    g = RNG.standard_normal((4, t, f_out))
+    out, grads = _run(lambda *a: conv2d_causal(*a, stride_f=stride_f), [x, w, b], g)
+    ref_out, ref_grads = _conv_ref(x, w, b, stride_f, g)
+    _assert_close(out, ref_out)
+    for got, want in zip(grads, ref_grads):
+        _assert_close(got, want)
+
+
 # -- conv2d_transpose ----------------------------------------------------------
 
 def test_transpose_size_chain():
@@ -223,6 +347,23 @@ def test_conv_transpose_adjointness():
                           stride_f=2, out_pad_f=0).data
     assert ty.shape == x.shape
     assert abs(np.sum(cx * y) - np.sum(x * ty)) < 1e-10
+
+
+@pytest.mark.parametrize("stride_f", [1, 2])
+@pytest.mark.parametrize("c_in", [1, 3])
+@pytest.mark.parametrize("out_pad_f", [0, 1])
+def test_conv_transpose_matches_loop_reference(stride_f, c_in, out_pad_f):
+    x = RNG.standard_normal((c_in, 5, 6))
+    w = RNG.standard_normal((c_in, 4, 1, 3))
+    b = RNG.standard_normal(4)
+    f_out = (6 - 1) * stride_f - 2 + 3 + out_pad_f
+    g = RNG.standard_normal((4, 5, f_out))
+    op = lambda *a: conv2d_transpose(*a, stride_f=stride_f, out_pad_f=out_pad_f)  # noqa: E731
+    out, grads = _run(op, [x, w, b], g)
+    ref_out, ref_grads = _conv_transpose_ref(x, w, b, stride_f, out_pad_f, g)
+    _assert_close(out, ref_out)
+    for got, want in zip(grads, ref_grads):
+        _assert_close(got, want)
 
 
 # -- max pool -------------------------------------------------------------------
@@ -289,6 +430,23 @@ def test_bn_infer_is_frame_local():
     full = batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), stats, "infer").data
     head = batch_norm(Tensor(x[:, :2]), Tensor(np.ones(2)), Tensor(np.zeros(2)), stats, "infer").data
     assert np.array_equal(full[:, :2], head)
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_bn_backward_matches_reference(mode):
+    x = RNG.standard_normal((3, 6, 7)) * 2 + 1
+    gamma, beta = RNG.standard_normal(3), RNG.standard_normal(3)
+    g = RNG.standard_normal(x.shape)
+    stats = BnStats(3)
+    stats.mean, stats.var, stats.initialized = RNG.standard_normal(3), RNG.random(3) + 0.5, True
+    if mode == "train":
+        mu, var = x.mean(axis=(1, 2)), x.var(axis=(1, 2))
+    else:
+        mu, var = stats.mean, stats.var
+    _, grads = _run(lambda *a: batch_norm(*a, stats.copy(), mode), [x, gamma, beta], g)
+    ref = _bn_grad_ref(x, gamma, mu, 1.0 / np.sqrt(var + BN_EPS), mode == "train", g)
+    for got, want in zip(grads, ref):
+        _assert_close(got, want)
 
 
 # -- GRU ---------------------------------------------------------------------
@@ -364,6 +522,48 @@ def test_weighted_delay_sum_onehot_is_exact_shift():
     out = weighted_delay_sum(Tensor(x), Tensor(dist)).data
     assert np.array_equal(out[:, :d0, :], np.zeros((c, d0, f)))
     assert np.array_equal(out[:, d0:, :], x[:, : t - d0, :])
+
+
+# t < d_max, t >> d_max, partial last blocks, and a single lag
+@pytest.mark.parametrize("t, d_max", [(3, 10), (40, 100), (250, 100), (97, 40), (1030, 50),
+                                      (70, 4), (1, 1), (33, 1)])
+def test_delay_kernels_match_loop_reference(t, d_max):
+    x = RNG.standard_normal((2, t, 3))
+    dist = RNG.random(d_max)
+    g = RNG.standard_normal(x.shape)
+    out, grads = _run(weighted_delay_sum, [x, dist], g)
+    ref_out, ref_grads = _weighted_delay_sum_ref(x, dist, g)
+    _assert_close(out, ref_out)
+    for got, want in zip(grads, ref_grads):
+        _assert_close(got, want)
+
+    q, k = RNG.standard_normal((t, 4)), RNG.standard_normal((t, 4))
+    gs = RNG.standard_normal(d_max)
+    scores, grads = _run(lambda a, b: delay_scores(a, b, d_max), [q, k], gs)
+    ref_scores, ref_grads = _delay_scores_ref(q, k, d_max, gs)
+    _assert_close(scores, ref_scores)
+    for got, want in zip(grads, ref_grads):
+        _assert_close(got, want)
+
+
+def test_weighted_delay_sum_memory_is_linear_in_t():
+    # a dense (t, t) delay matrix would be 288 MB here; the banded product
+    # holds one (block, block + d_max - 1) band and the output
+    x = Tensor(RNG.standard_normal((4, 6000, 11)), requires_grad=True)
+    dist = Tensor(RNG.random(100), requires_grad=True)
+    g = RNG.standard_normal(x.data.shape)
+    out_bytes = x.data.nbytes
+    tracemalloc.start()
+    try:
+        out = weighted_delay_sum(x, dist)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        out._backward_fn(g)
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < 3 * out_bytes
+    assert backward_peak < 3 * out_bytes
 
 
 # -- spectral graph ops -----------------------------------------------------------
