@@ -247,9 +247,17 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(data, (a,), bwd)
 
 
+def elu_np(x: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """ELU on plain arrays as ``max(x, expm1(min(x, 0)))``: below 0,
+    expm1(x) > x; above it, expm1(0) = 0 < x. Shared by the graph op and the
+    streaming engine. ``out`` may be ``x`` itself; ``tmp`` is an optional
+    work array shaped like ``x``."""
+    tmp = np.expm1(np.minimum(x, 0.0, out=tmp), out=tmp)
+    return np.maximum(x, tmp, out=out)
+
+
 def elu(a: Tensor) -> Tensor:
-    data = np.expm1(np.minimum(a.data, 0.0))
-    data += np.maximum(a.data, 0.0)
+    data = elu_np(a.data)
 
     def bwd(g):
         if a.requires_grad:
@@ -287,6 +295,20 @@ def _tap_bins(c: int, pad: int, stride: int, n_src: int, n_dst: int):
         return slice(0, 0), slice(0, 0)
     u0 = stride * q0 + c - pad
     return slice(q0, q1), slice(u0, u0 + stride * (q1 - q0 - 1) + 1, stride)
+
+
+def deconv_taps(y: np.ndarray, out: np.ndarray, stride_f: int) -> list:
+    """The k_f strided adds of a frequency-transposed conv as (destination,
+    source) view pairs: ``out`` is the (c_out, t, f_out) map and ``y`` the
+    (c_out, k_f, t, f) product of the weight, seen as ``w.reshape(c_in,
+    c_out * k_f).T``, with the input. Shared by the graph op and the
+    streaming engine."""
+    c_out, kf, t, f = y.shape
+    pairs = []
+    for c_ in range(kf):
+        src, dst = _tap_bins(c_, (kf - 1) // 2, stride_f, f, out.shape[2])
+        pairs.append((out[:, :, dst], y[:, c_, :, src]))
+    return pairs
 
 
 def conv2d_causal(x: Tensor, w: Tensor, b: Tensor, stride_f: int = 1) -> Tensor:
@@ -367,8 +389,9 @@ def conv2d_transpose(
 
     Output width is (f - 1) * stride_f - 2 + k_f + out_pad_f; the map is the
     adjoint of conv2d_causal with k_t = 1 and the same frequency geometry.
-    The forward is one (k_f * c_out, c_in) GEMM and k_f strided adds; the
-    backward is one GEMM for each input gradient.
+    The forward is one GEMM with the weight seen as a (c_out * k_f, c_in)
+    matrix, a view, then k_f strided adds; the backward is one GEMM for each
+    input gradient.
     """
     c_in, t, f = x.data.shape
     c_in_w, c_out, kt, kf = w.data.shape
@@ -381,30 +404,28 @@ def conv2d_transpose(
     pad = (kf - 1) // 2
     f_out = (f - 1) * stride_f - 2 * pad + kf + out_pad_f
 
-    taps = [_tap_bins(c_, pad, stride_f, f, f_out) for c_ in range(kf)]
-    # (c_in, c_out, 1, k_f) -> (k_f * c_out, c_in), rows in (tap, channel) order
-    wmat = np.ascontiguousarray(w.data[:, :, 0, :].transpose(2, 1, 0)).reshape(kf * c_out, c_in)
+    # (c_in, c_out, 1, k_f) -> (c_in, c_out * k_f), rows of the product in
+    # (channel, tap) order
+    wmat = w.data.reshape(c_in, c_out * kf)
     x2 = x.data.reshape(c_in, t * f)
-    y = (wmat @ x2).reshape(kf, c_out, t, f)
     out = np.empty((c_out, t, f_out))
     out[:] = b.data[:, None, None]
-    for c_, (in_bins, out_bins) in enumerate(taps):
-        out[:, :, out_bins] += y[c_, :, :, in_bins]
+    for dst, src in deconv_taps((wmat.T @ x2).reshape(c_out, kf, t, f), out, stride_f):
+        dst += src
 
     def bwd(g):
         if b.requires_grad:
             b._accumulate(g.sum(axis=(1, 2)))
         if not (x.requires_grad or w.requires_grad):
             return
-        g_taps = np.zeros((kf, c_out, t, f))
-        for c_, (in_bins, out_bins) in enumerate(taps):
-            g_taps[c_, :, :, in_bins] = g[:, :, out_bins]
-        g_taps = g_taps.reshape(kf * c_out, t * f)
+        g_taps = np.zeros((c_out, kf, t, f))
+        for g_dst, tap in deconv_taps(g_taps, g, stride_f):
+            tap[...] = g_dst
+        g_taps = g_taps.reshape(c_out * kf, t * f)
         if x.requires_grad:
-            x._accumulate((wmat.T @ g_taps).reshape(c_in, t, f), own=True)
+            x._accumulate((wmat @ g_taps).reshape(c_in, t, f), own=True)
         if w.requires_grad:
-            dw = (g_taps @ x2.T).reshape(kf, c_out, c_in).transpose(2, 1, 0)[:, :, None, :]
-            w._accumulate(dw)
+            w._accumulate((x2 @ g_taps.T).reshape(w.data.shape), own=True)
 
     return _make(out, (x, w, b), bwd)
 

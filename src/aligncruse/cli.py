@@ -217,9 +217,8 @@ def _open_wav_reader(path):
 
 def _enhance_streaming(args, store):
     """Chunked file-to-file enhancement. Audio is read and written in bounded
-    chunks, but the engine keeps every frame's delay distribution (about
-    0.8 KB per frame at d_max 100), so memory still grows with clip length.
-    Returns the per-frame delay distribution."""
+    chunks; of each push's delay distributions only the per-frame argmax is
+    kept, one int per 10 ms frame, for ``--emit-delay``. Returns those ints."""
     import wave
 
     chunk = 64 * 160  # 0.64 s per read
@@ -231,6 +230,7 @@ def _enhance_streaming(args, store):
         wo.setframerate(dsp.SAMPLE_RATE)
         total = wm.getnframes()
         written = 0
+        argmax: list[int] = []
         while True:
             raw_m = wm.readframes(chunk)
             raw_f = wf.readframes(chunk)
@@ -240,12 +240,13 @@ def _enhance_streaming(args, store):
             mic = np.frombuffer(raw_m[: 2 * n], dtype="<i2").astype(np.float64) / 32768.0
             far = np.frombuffer(raw_f[: 2 * n], dtype="<i2").astype(np.float64) / 32768.0
             out = eng.push(mic, far)
+            argmax.extend(np.argmax(eng.frame_dists, axis=1).tolist())
             ints = np.clip(np.rint(out * 32768.0), -32768, 32767).astype("<i2")
             wo.writeframes(ints.tobytes())
             written += len(out)
         if written < total:  # zero-padded tail past the last complete frame
             wo.writeframes(np.zeros(total - written, dtype="<i2").tobytes())
-    return eng.delay_distribution()
+    return argmax
 
 
 def _cmd_enhance(args) -> int:
@@ -253,19 +254,18 @@ def _cmd_enhance(args) -> int:
     if args.emit_delay and store.arch != "align":
         raise ConfigurationError("--emit-delay needs an 'align' model")
     if args.mode == "causal":
-        dist = _enhance_streaming(args, store)
+        frames = _enhance_streaming(args, store)
+        payload = {"mode": "per-frame", "argmax_frames": frames}
     else:
         mic = dsp.read_wav(args.mic)
         far = dsp.read_wav(args.far)
         out, dist = enhance(mic, far, store, mode=args.mode,
                             force_identity_mask=args.force_identity_mask)
         dsp.write_wav(args.out, out)
-    if args.emit_delay:
-        if dist.mode == "utterance":
+        if args.emit_delay:
             payload = {"mode": dist.mode, "argmax_frames": int(dist.argmax()),
                        "probs": dist.probs.tolist()}
-        else:
-            payload = {"mode": dist.mode, "argmax_frames": dist.argmax().tolist()}
+    if args.emit_delay:
         Path(args.emit_delay).write_text(json.dumps(payload))
     print(f"enhanced {args.mic} -> {args.out} ({args.mode} mode)")
     return 0

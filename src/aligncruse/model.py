@@ -8,10 +8,12 @@ Two evaluation paths share one parameter store:
   clip, batch-norm in train or frozen mode;
 * a streaming (causal) path used for real-time inference -- per-frame delay
   distributions from a leaky score accumulator over ring-indexed key and
-  feature histories, per-block frame kernels over preallocated conv
-  histories, frame-by-frame overlap-add synthesis, 20 ms algorithmic
-  latency. Weights and batch-norm statistics are read when the engine is
-  built; batch-norm runs as a per-channel affine.
+  feature histories, 20 ms algorithmic latency. A push runs the frames it
+  completes as blocks of up to ``BLOCK`` frames: each conv, batch-norm
+  affine, ELU, skip and transposed conv runs once per block over carried
+  history, and only the GRU step and the alignment recursion run frame by
+  frame. Weights are read by view when the engine is built; batch-norm
+  runs as a per-channel affine.
 
 The baseline variant ("cruse") is ``forward`` with the alignment block
 skipped: its far-end features must already be aligned, and its parameter
@@ -336,21 +338,30 @@ def align_block(x_mic: Tensor, x_far: Tensor, store: ParamStore,
     return aligned, d
 
 
+ALIGN_WEIGHTS = ("align.wq", "align.bq", "align.wk", "align.bk")
+
+
 def _align_causal_np(mic_feat: np.ndarray, far_feat: np.ndarray, store: ParamStore):
     """Frame-recursive variant: a leaky accumulator of per-frame attention
     scores yields one delay distribution per frame, used to align that frame
-    only. Matches the streaming engine bit for bit."""
-    cfg = store.cfg
-    c_far, t, f = far_feat.shape
-    wq, bq = store["align.wq"].data, store["align.bq"].data
-    wk, bk = store["align.wk"].data, store["align.bk"].data
-    state = AlignState(cfg, c_far, f)
-    aligned = np.empty_like(far_feat)
-    dists = np.empty((t, cfg.d_max))
-    for i in range(t):
-        aligned[:, i, :], dists[i] = state.step(mic_feat[:, i, :], far_feat[:, i, :],
-                                                wq, bq, wk, bk)
+    only. It is the streaming engine's alignment step, run once over the
+    whole clip."""
+    state = AlignState(store.cfg, far_feat.shape[0], far_feat.shape[2])
+    aligned, dists = state.step(mic_feat, far_feat, *(store[n].data for n in ALIGN_WEIGHTS))
     return aligned, DelayDistribution(dists, mode="per-frame")
+
+
+def _pooled_flat(x: np.ndarray, pool: int) -> np.ndarray:
+    """(c, t, f) -> (t, c * (f // pool)): non-overlapping frequency max-pool,
+    remainder bins dropped, frames as rows. The max is taken pairwise over
+    strided views: a reduction over a last axis of ``pool`` elements is
+    several times slower."""
+    xt = x.transpose(1, 0, 2)
+    span = x.shape[2] // pool * pool
+    out = np.maximum(xt[:, :, 0:span:pool], xt[:, :, pool - 1 : span : pool], order="C")
+    for j in range(1, pool - 1):
+        np.maximum(out, xt[:, :, j:span:pool], out=out)
+    return out.reshape(x.shape[1], -1)
 
 
 class AlignState:
@@ -358,7 +369,8 @@ class AlignState:
     score accumulator.
 
     The rings are written in place at ``pos``; slot ``(pos - lag) % d_max``
-    holds the frame ``lag`` frames back, so no history is ever shifted.
+    holds the frame ``lag`` frames back, so no history is ever shifted. The
+    slots of lags 0..d_max-1 are ``_slot_of[pos + d_max : pos : -1]``, a view.
     """
 
     def __init__(self, cfg: ModelConfig, c_far: int, f: int):
@@ -369,26 +381,41 @@ class AlignState:
         self._far_flat = self.far_ring.reshape(d, -1)
         self.scores = np.zeros(d)  # in lag order
         self.pos = d - 1
-        self._lags = np.arange(d)
+        self._slot_of = np.arange(2 * d) % d
 
-    def step(self, mic_frame: np.ndarray, far_frame: np.ndarray, wq, bq, wk, bk):
-        pool = self.cfg.align_pool
-        fb = mic_frame.shape[1] // pool
-        pm = mic_frame[:, : fb * pool].reshape(mic_frame.shape[0], fb, pool).max(axis=-1)
-        pf = far_frame[:, : fb * pool].reshape(far_frame.shape[0], fb, pool).max(axis=-1)
-        q = pm.reshape(-1) @ wq + bq
-        k = pf.reshape(-1) @ wk + bk
-        self.pos = pos = (self.pos + 1) % self.cfg.d_max
-        self.k_ring[pos] = k
-        self.far_ring[pos] = far_frame
-        # the slot of each lag; the map is its own inverse, so it also gives
-        # the lag held in each slot
-        slots = (pos - self._lags) % self.cfg.d_max
-        self.scores = self.cfg.causal_decay * self.scores + (self.k_ring @ q)[slots]
-        e = np.exp(self.scores - self.scores.max())
-        dist = e / e.sum()
-        aligned = (dist[slots] @ self._far_flat).reshape(far_frame.shape)
-        return aligned, dist
+    def step(self, mic: np.ndarray, far: np.ndarray, wq, bq, wk, bk):
+        """Aligns a block of frames: ``mic`` (c_mic, t, f) and ``far``
+        (c_far, t, f), or one (c, f) frame each. The max-pool and the query
+        and key projections run once over the block; the ring writes, the
+        score recursion, the softmax and the weighted sum run frame by frame.
+        Returns the aligned far features, shaped as ``far``, and the delay
+        distributions, (t, d_max) or (d_max,) for one frame."""
+        cfg = self.cfg
+        d, decay = cfg.d_max, cfg.causal_decay
+        c_far, f = far.shape[0], far.shape[-1]
+        far3 = far.reshape(c_far, -1, f)
+        t = far3.shape[1]
+        q = _pooled_flat(mic.reshape(mic.shape[0], t, -1), cfg.align_pool) @ wq + bq
+        k = _pooled_flat(far3, cfg.align_pool) @ wk + bk
+        k_ring, far_ring, far_flat, slot_of = self.k_ring, self.far_ring, self._far_flat, self._slot_of
+        scores, pos = self.scores, self.pos
+        aligned = np.empty((t, c_far * f))
+        dists = np.empty((t, d))
+        for i in range(t):
+            pos = (pos + 1) % d
+            k_ring[pos] = k[i]
+            far_ring[pos] = far3[:, i]
+            # the slot of each lag; the map is its own inverse, so it also
+            # gives the lag held in each slot
+            slots = slot_of[pos + d : pos : -1]
+            scores *= decay
+            scores += (k_ring @ q[i])[slots]
+            e = np.exp(scores - scores.max())
+            dist = np.divide(e, e.sum(), out=dists[i])
+            np.matmul(dist[slots], far_flat, out=aligned[i])
+        self.pos = pos
+        aligned = aligned.reshape(t, c_far, f).transpose(1, 0, 2)
+        return aligned.reshape(far.shape), dists.reshape(far.shape[1:-1] + (d,))
 
 
 DEC_STAGE_NAMES = ("dec1", "dec2", "dec3")
@@ -487,7 +514,10 @@ def enhance(mic: AudioClip, far: AudioClip, store: ParamStore,
         out = eng.push(mic_s, far_s)
         full = np.zeros(len(mic))
         full[: len(out)] = out
-        return AudioClip(full, mic.sample_rate), eng.delay_distribution()
+        d = store.cfg.d_max
+        if not len(eng.frame_dists):  # shorter than one frame
+            return AudioClip(full, mic.sample_rate), DelayDistribution(np.full(d, 1.0 / d))
+        return AudioClip(full, mic.sample_rate), DelayDistribution(eng.frame_dists, mode="per-frame")
 
     spec_m = dsp.stft(AudioClip(mic_s, mic.sample_rate), stft_cfg)
     spec_f = dsp.stft(AudioClip(far_s, far.sample_rate), stft_cfg)
@@ -518,123 +548,169 @@ def _bn_affine(store: ParamStore, name: str, bias: np.ndarray):
     return scale[:, None], shift[:, None]
 
 
-def _elu_inplace(x: np.ndarray, tmp: np.ndarray) -> None:
-    """ELU of ``x`` written back into ``x``; the same values as ``autodiff.elu``."""
-    np.minimum(x, 0.0, out=tmp)
-    np.expm1(tmp, out=tmp)
-    np.maximum(x, 0.0, out=x)
-    x += tmp
+# Frames per block-kernel call. A whole-clip causal enhance at tiny scale
+# takes about the same time at 24 to 48 frames, and longer at 16 and 64.
+BLOCK = 32
 
 
-class _EncoderStep:
-    """One encoder block (causal conv, batch-norm, ELU), a frame at a time.
+class _Blocked:
+    """Work buffers sized for the longest block seen so far, and their views
+    for each block length, made on first use and kept: a call finds its
+    views with ``self._views.get(t) or self._new_views(t)``. Subclasses
+    define ``_alloc(cap)`` and ``_carve(t)``."""
 
-    The zero-padded history of the last k_t input frames, its im2col view,
-    the weight matrix (a view of the stored weight) and batch-norm folded
-    into a per-channel affine are all made here, once.
-    """
+    def __init__(self):
+        self._cap = 0
+        self._views: dict[int, tuple] = {}
+
+    def _new_views(self, t: int) -> tuple:
+        if t > self._cap:
+            self._alloc(t)
+            self._cap = t
+            self._views.clear()
+        views = self._views[t] = self._carve(t)
+        return views
+
+
+class _EncoderBlock(_Blocked):
+    """One encoder block (causal conv, batch-norm, ELU) over a block of t
+    frames: one GEMM of the weight, a view of the stored one, with the
+    block's im2col. The history buffer holds the last k_t - 1 zero-padded
+    input frames, carried from block to block, then the block's frames."""
 
     def __init__(self, store: ParamStore, name: str, f: int):
+        super().__init__()
         w = store[f"{name}.w"].data
-        c_out, c_in, kt, kf = w.shape
-        stride = store.cfg.conv_stride_f
-        pad = (kf - 1) // 2
-        f_out = _conv_out(f, kf, stride)
-        self._hist = np.zeros((c_in, kt, f + 2 * pad))
-        self._frame = self._hist[:, -1, pad : pad + f]
-        s0, s1, s2 = self._hist.strides
-        self._im2col = np.lib.stride_tricks.as_strided(
-            self._hist, shape=(c_in, kt, kf, f_out), strides=(s0, s1, s2, s2 * stride),
+        self._c_out, self._c_in, self._kt, self._kf = w.shape
+        self._w = w.reshape(self._c_out, -1)
+        self._scale, self._shift = _bn_affine(store, name, store[f"{name}.b"].data)
+        self._f, self._stride = f, store.cfg.conv_stride_f
+        self._pad = (self._kf - 1) // 2
+        self._f_out = _conv_out(f, self._kf, self._stride)
+        self._hist = None
+
+    def _alloc(self, cap: int):
+        kt, n_out = self._kt, self._c_out * cap * self._f_out
+        old, self._hist = self._hist, np.zeros((self._c_in, kt - 1 + cap, self._f + 2 * self._pad))
+        if old is not None:
+            self._hist[:, : kt - 1] = old[:, : kt - 1]
+        self._cols = np.empty(self._c_in * kt * self._kf * cap * self._f_out)
+        self._out = np.empty(n_out)
+        self._tmp = np.empty(n_out)
+
+    def _carve(self, t: int) -> tuple:
+        c_in, kt, kf, pad, f_out = self._c_in, self._kt, self._kf, self._pad, self._f_out
+        hist = self._hist[:, : kt - 1 + t]
+        s0, s1, s2 = hist.strides
+        im2col = np.lib.stride_tricks.as_strided(
+            hist, shape=(c_in, kt, kf, t, f_out), strides=(s0, s1, s2, s1, s2 * self._stride),
             writeable=False,
         )
-        self._cols = np.empty((c_in * kt * kf, f_out))
-        self._cols4 = self._cols.reshape(self._im2col.shape)
-        self._w = w.reshape(c_out, -1)
-        self._scale, self._shift = _bn_affine(store, name, store[f"{name}.b"].data)
-        self._out = np.empty((c_out, f_out))
-        self._tmp = np.empty((c_out, f_out))
+        cols = self._cols[: c_in * kt * kf * t * f_out].reshape(-1, t * f_out)
+        n_out = self._c_out * t * f_out
+        out = self._out[:n_out].reshape(self._c_out, -1)
+        return (hist[:, kt - 1 :, pad : pad + self._f], im2col, cols.reshape(im2col.shape), cols,
+                hist[:, : kt - 1], hist[:, t:], out, out.reshape(self._c_out, t, f_out),
+                self._tmp[:n_out].reshape(out.shape))
 
     def __call__(self, *parts: np.ndarray) -> np.ndarray:
-        """Takes the new (c_in, f) input frame, given as channel blocks in
-        order; returns the (c_out, f_out) output frame in a buffer that the
-        next call overwrites."""
-        hist = self._hist
-        hist[:, :-1] = hist[:, 1:]
+        """Takes the block's (c_in, t, f) input, given as channel blocks in
+        order; returns the (c_out, t, f_out) output in a buffer that the next
+        call overwrites."""
+        t = parts[0].shape[1]
+        views = self._views.get(t) or self._new_views(t)
+        frames, im2col, cols5, cols, head, tail, out, out3, tmp = views
         c = 0
         for part in parts:
-            self._frame[c : c + part.shape[0]] = part
+            frames[c : c + part.shape[0]] = part
             c += part.shape[0]
-        np.copyto(self._cols4, self._im2col)
-        out = self._out
-        np.matmul(self._w, self._cols, out=out)
+        np.copyto(cols5, im2col)
+        head[...] = tail  # carry the last k_t - 1 frames to the next block
+        np.matmul(self._w, cols, out=out)
         out *= self._scale
         out += self._shift
-        _elu_inplace(out, self._tmp)
-        return out
+        ad.elu_np(out, out, tmp)
+        return out3
 
 
-class _DecoderStep:
-    """Skip connection plus one frequency-transposed conv stage, a frame at a
-    time: one (k_f * c_out, c_in) matmul, then k_f strided adds.
-
-    With ``bn`` the stage ends in batch-norm and ELU (dec1..dec3); without it
-    the output is the pre-sigmoid mask.
-    """
+class _DecoderBlock(_Blocked):
+    """Skip connection plus one frequency-transposed conv stage over a block
+    of frames: the skip GEMM, then one GEMM of the transposed-conv weight (a
+    view) and k_f strided adds. With ``bn`` the stage ends in batch-norm and
+    ELU (dec1..dec3); without it the output is the pre-sigmoid mask."""
 
     def __init__(self, store: ParamStore, skip: str, name: str, f_in: int, f_out: int, bn: bool):
-        stride = store.cfg.conv_stride_f
+        super().__init__()
         w = store[f"{name}.w"].data
-        c_in, c_out, _, kf = w.shape
-        pad = (kf - 1) // 2
+        self._c_in, self._c_out, _, self._kf = w.shape
+        self._w = w.reshape(self._c_in, -1).T
         self._skip_w = store[f"{skip}.w"].data
         self._skip_b = store[f"{skip}.b"].data[:, None]
-        # (c_in, c_out, 1, kf) -> (kf * c_out, c_in); a small copy made once
-        self._w = np.ascontiguousarray(w[:, :, 0, :].transpose(2, 1, 0)).reshape(kf * c_out, c_in)
         b = store[f"{name}.b"].data
         if bn:
             self._scale, self._shift = _bn_affine(store, name, b)
         else:
-            self._scale, self._shift = np.ones((c_out, 1)), b[:, None]
+            self._scale, self._shift = np.ones((self._c_out, 1)), b[:, None]
         self._elu = bn
-        self._x = np.empty((c_in, f_in))
-        self._y = np.empty((kf * c_out, f_in))
-        self._full = np.zeros((c_out, (f_in - 1) * stride + kf))
-        span = stride * (f_in - 1) + 1
-        self._taps = [(self._full[:, c : c + span : stride], self._y[c * c_out : (c + 1) * c_out])
-                      for c in range(kf)]
-        self._center = self._full[:, pad : pad + f_out]
-        self._out = np.empty((c_out, f_out))
-        self._tmp = np.empty((c_out, f_out))
+        self._f_in, self._f_out, self._stride = f_in, f_out, store.cfg.conv_stride_f
+
+    def _alloc(self, cap: int):
+        n_out = self._c_out * cap * self._f_out
+        self._h = np.empty(self._c_in * cap * self._f_in)
+        self._y = np.empty(self._c_out * self._kf * cap * self._f_in)
+        self._out = np.empty(n_out)
+        self._tmp = np.empty(n_out)
+
+    def _carve(self, t: int) -> tuple:
+        n_in, n_out = t * self._f_in, self._c_out * t * self._f_out
+        h = self._h[: self._c_in * n_in].reshape(self._c_in, n_in)
+        y = self._y[: self._c_out * self._kf * n_in].reshape(-1, n_in)
+        out = self._out[:n_out].reshape(self._c_out, -1)
+        out3 = out.reshape(self._c_out, t, self._f_out)
+        taps = ad.deconv_taps(y.reshape(self._c_out, self._kf, t, self._f_in), out3, self._stride)
+        return (h, h.reshape(self._c_in, t, self._f_in), y, taps, out, out3,
+                self._tmp[:n_out].reshape(out.shape))
 
     def __call__(self, enc: np.ndarray, x: np.ndarray) -> np.ndarray:
-        h = self._x
-        np.matmul(self._skip_w, enc, out=h)
+        """``enc`` is the (c_skip, t, f_in) encoder output, ``x`` the
+        (c_in, t, f_in) decoder input; returns (c_out, t, f_out) in a buffer
+        that the next call overwrites."""
+        t = x.shape[1]
+        h, h3, y, taps, out, out3, tmp = self._views.get(t) or self._new_views(t)
+        np.matmul(self._skip_w, enc.reshape(enc.shape[0], -1), out=h)
         h += self._skip_b
-        h += x
-        np.matmul(self._w, h, out=self._y)
-        self._full.fill(0.0)
-        for dst, src in self._taps:
+        h3 += x
+        np.matmul(self._w, h, out=y)
+        out.fill(0.0)
+        for dst, src in taps:
             dst += src
-        out = self._out
-        np.multiply(self._center, self._scale, out=out)
+        out *= self._scale
         out += self._shift
         if self._elu:
-            _elu_inplace(out, self._tmp)
-        return out
+            ad.elu_np(out, out, tmp)
+        return out3
 
 
 class StreamingEnhancer:
     """Causal incremental enhancement: push audio in arbitrary chunk sizes,
     receive enhanced samples with 20 ms algorithmic latency.
 
-    Output is chunk-size invariant: any chunking produces the same samples as
-    a single push of the whole clip, because processing is per-frame inside.
-    The store is read when the engine is built: conv weights by view,
-    batch-norm statistics folded into per-channel affines, the decoder's
-    small weights copied. Build a new engine after changing the store.
+    The frames a push completes run as consecutive blocks of at most
+    ``BLOCK`` frames. The convs, batch-norm affines, ELUs, skips and
+    transposed convs run once per block over carried state; only the GRU
+    and the alignment recursion step frame by frame. Output is chunk-size
+    invariant up to rounding: any chunking gives the samples and delay
+    distributions of a single push of the whole clip (the tests hold them
+    to 1e-12).
+
+    The store is read when the engine is built: conv, GRU and alignment
+    weights by view, batch-norm statistics folded into per-channel affines.
+    Work buffers are made by the first push that needs them. Build a new
+    engine after changing the store.
 
     Non-finite input samples are replaced by 0 before framing and counted in
-    ``sanitized_samples``.
+    ``sanitized_samples``. ``frame_dists`` holds the (n, d_max) delay
+    distributions of the n frames the last push completed.
     """
 
     def __init__(self, store: ParamStore, stft_cfg: StftConfig | None = None,
@@ -649,41 +725,41 @@ class StreamingEnhancer:
         freqs = cfg.enc_freqs
         in_freq = {"mic1": freqs[0], "mic2": freqs[1], "far1": freqs[0],
                    "far2": freqs[1], "enc3": freqs[2], "enc4": freqs[3]}
-        self._enc = [_EncoderStep(store, n, in_freq[n]) for n in ENC_BLOCKS]
-        self._dec = [_DecoderStep(store, f"skip{i + 1}", name, freqs[4 - i], freqs[3 - i], bn=True)
+        self._enc = [_EncoderBlock(store, n, in_freq[n]) for n in ENC_BLOCKS]
+        self._dec = [_DecoderBlock(store, f"skip{i + 1}", name, freqs[4 - i], freqs[3 - i], bn=True)
                      for i, name in enumerate(DEC_STAGE_NAMES)]
-        self._dec.append(_DecoderStep(store, "skip4", "mask", freqs[1], cfg.n_bins, bn=False))
+        self._dec.append(_DecoderBlock(store, "skip4", "mask", freqs[1], cfg.n_bins, bn=False))
         self._align = AlignState(cfg, cfg.far_channels[1], freqs[2])
-        self._align_w = tuple(store[n].data for n in ("align.wq", "align.bq", "align.wk", "align.bk"))
+        self._align_w = tuple(store[n].data for n in ALIGN_WEIGHTS)
         self._gru_w = tuple(store[n].data for n in ("gru.wih", "gru.whh", "gru.b"))
-        self._gain = store["mask.gain"].data[0]
         self._h = np.zeros(cfg.gru_hidden)
-        self._h_shape = (cfg.gru_channels, freqs[-1])
+        self._gain = store["mask.gain"].data[0]
         self._mic_framer = dsp.StreamingFramer(self.stft_cfg)
         self._far_framer = dsp.StreamingFramer(self.stft_cfg)
         self._ola_tail = np.zeros(self.stft_cfg.win_len - self.stft_cfg.hop)
-        self._dists: list[np.ndarray] = []
+        self.frame_dists = np.zeros((0, cfg.d_max))
 
-    def delay_distribution(self) -> DelayDistribution:
-        if not self._dists:
-            return DelayDistribution(np.full(self.cfg.d_max, 1.0 / self.cfg.d_max))
-        return DelayDistribution(np.asarray(self._dists), mode="per-frame")
-
-    def _network_frame(self, feat_m: np.ndarray, feat_f: np.ndarray) -> np.ndarray:
-        """Pre-sigmoid mask of one frame from its (n_bins,) log-power features."""
+    def _block(self, feat_m: np.ndarray, feat_f: np.ndarray):
+        """Pre-sigmoid mask and delay distributions of a block of frames
+        from their (t, n_bins) log-power features."""
         mic1, mic2, far1, far2, enc3, enc4 = self._enc
-        m1 = mic1(feat_m)
+        m1 = mic1(feat_m[None])
         m2 = mic2(m1)
-        f2 = far2(far1(feat_f))
-        aligned, dist = self._align.step(m2, f2, *self._align_w)
-        self._dists.append(dist)
+        f2 = far2(far1(feat_f[None]))
+        aligned, dists = self._align.step(m2, f2, *self._align_w)
         e3 = enc3(m2, aligned)
         e4 = enc4(e3)
-        self._h, *_ = ad.gru_step_np(*self._gru_w, e4.reshape(-1), self._h)
-        x = self._h.reshape(self._h_shape)
+        c, t, f = e4.shape
+        gru_in = e4.transpose(1, 0, 2).reshape(t, c * f)
+        h = self._h
+        hs = np.empty((t, h.size))
+        for i in range(t):
+            h = hs[i] = ad.gru_step_np(*self._gru_w, gru_in[i], h)[0]
+        self._h = h
+        x = hs.reshape(t, -1, f).transpose(1, 0, 2)
         for stage, skip in zip(self._dec, (e4, e3, m2, m1)):
             x = stage(skip, x)
-        return x[0]
+        return x[0], dists
 
     def _sanitize(self, chunk) -> np.ndarray:
         x = np.asarray(chunk, dtype=np.float64)
@@ -700,6 +776,7 @@ class StreamingEnhancer:
         if len(mic_frames) != len(far_frames):
             raise ShapeError("mic and far chunks must stay in lockstep")
         n = len(mic_frames)
+        self.frame_dists = np.empty((n, self.cfg.d_max))
         if n == 0:
             return np.zeros(0)
         scfg = self.stft_cfg
@@ -708,8 +785,9 @@ class StreamingEnhancer:
         feat_m = np.log(spec_m.real**2 + spec_m.imag**2 + dsp.LOG_EPS)
         feat_f = np.log(spec_f.real**2 + spec_f.imag**2 + dsp.LOG_EPS)
         pre = np.empty_like(feat_m)
-        for i in range(n):
-            pre[i] = self._network_frame(feat_m[i], feat_f[i])
+        for s in range(0, n, BLOCK):
+            e = min(s + BLOCK, n)
+            pre[s:e], self.frame_dists[s:e] = self._block(feat_m[s:e], feat_f[s:e])
         if self.force_identity_mask:
             mask = np.ones_like(pre)
         else:

@@ -7,8 +7,8 @@ from aligncruse import dsp
 from aligncruse.cli import main
 from aligncruse.data import make_ld_set, speech_surrogate
 from aligncruse.dsp import AudioClip
-from aligncruse.model import ModelConfig, init_params
-from aligncruse.params_io import save_params
+from aligncruse.model import ModelConfig, enhance, init_params
+from aligncruse.params_io import load_params, save_params
 
 
 @pytest.fixture
@@ -71,6 +71,19 @@ def test_enhance_emit_delay(tmp_path, tiny_ckpt, wav_pair):
     payload = json.loads(dd.read_text())
     assert payload["mode"] == "utterance"
     assert len(payload["probs"]) == ModelConfig.tiny().d_max
+
+
+def test_enhance_emit_delay_causal_matches_enhance(tmp_path, tiny_ckpt, wav_pair):
+    mic_p, far_p = wav_pair
+    dd = tmp_path / "d.json"
+    code = main(["enhance", "--model", str(tiny_ckpt), "--mic", str(mic_p),
+                 "--far", str(far_p), "--out", str(tmp_path / "o.wav"),
+                 "--emit-delay", str(dd), "--mode", "causal"])
+    assert code == 0
+    payload = json.loads(dd.read_text())
+    store, _ = load_params(tiny_ckpt)
+    _, dist = enhance(dsp.read_wav(mic_p), dsp.read_wav(far_p), store, mode="causal")
+    assert payload == {"mode": "per-frame", "argmax_frames": dist.argmax().tolist()}
 
 
 def test_enhance_emit_delay_rejects_cruse_model(tmp_path, wav_pair, capsys):

@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from aligncruse import autodiff as ad
 from aligncruse import dsp
+from aligncruse import model as model_mod
 from aligncruse.autodiff import Tensor
 from aligncruse.data import ScenarioConfig, ld_scenario_config, synth_scenario
 from aligncruse.dsp import AudioClip, SpectralFrames, StftConfig
 from aligncruse.errors import ConfigurationError, ContractViolationError, ShapeError
 from aligncruse.model import (
+    BLOCK,
+    ENC_BLOCKS,
     AlignState,
     DelayDistribution,
     ModelConfig,
@@ -366,30 +371,6 @@ def test_enhance_length_mismatch_warns():
 
 # -- streaming ---------------------------------------------------------------------------
 
-def test_streaming_chunk_invariance():
-    mic, far = _scenario_pair(5, seconds=1.0)
-    store = tiny_store(seed=30)
-    one = enhance(mic, far, store, mode="causal")[0].samples
-
-    eng = StreamingEnhancer(store)
-    outs = []
-    for k in range(0, len(mic) - 160 + 1, 160):
-        outs.append(eng.push(mic.samples[k : k + 160], far.samples[k : k + 160]))
-    chunked = np.concatenate(outs)
-    assert np.max(np.abs(one[: len(chunked)] - chunked)) < 1e-6
-
-    eng2 = StreamingEnhancer(store)
-    outs2 = []
-    rng = np.random.default_rng(0)
-    pos = 0
-    while pos < len(mic):
-        step = int(rng.integers(1, 700))
-        outs2.append(eng2.push(mic.samples[pos : pos + step], far.samples[pos : pos + step]))
-        pos += step
-    chunked2 = np.concatenate([o for o in outs2 if o.size])
-    assert np.max(np.abs(chunked2 - chunked[: len(chunked2)])) < 1e-6
-
-
 def test_streaming_matches_graph_when_dmax_is_one():
     # with d_max == 1 both align modes reduce to the identity shift, so the
     # streaming engine must reproduce the graph forward end to end
@@ -451,9 +432,56 @@ def _perturbed_store(seed):
 
 
 def _stream_10ms(store, mic, far):
+    """Streams in 10 ms pushes; returns the samples, the per-push delay
+    distributions joined into one (frames, d_max) array, and the engine."""
     eng = StreamingEnhancer(store)
-    outs = [eng.push(mic[k : k + 160], far[k : k + 160]) for k in range(0, len(mic) - 159, 160)]
-    return np.concatenate(outs), eng
+    outs, dists = [], []
+    for k in range(0, len(mic) - 159, 160):
+        outs.append(eng.push(mic[k : k + 160], far[k : k + 160]))
+        dists.append(eng.frame_dists)
+    return np.concatenate(outs), np.concatenate(dists), eng
+
+
+def _stream_pushes(store, mic, far, sizes):
+    """Streams pushes of ``sizes`` samples each, in turn; returns the joined
+    samples and per-frame delay distributions."""
+    eng = StreamingEnhancer(store)
+    outs, dists = [], []
+    pos = 0
+    for step in sizes:
+        if pos >= len(mic):
+            break
+        outs.append(eng.push(mic[pos : pos + step], far[pos : pos + step]))
+        dists.append(eng.frame_dists)
+        pos += step
+    return np.concatenate(outs), np.concatenate(dists)
+
+
+def test_streaming_chunk_invariance():
+    """Any chunking gives the samples and delay distributions of one
+    whole-clip push to 1e-12: pushes of 1, BLOCK - 1, BLOCK and BLOCK + 1
+    frames (the first push carries the extra hop of the first frame), and
+    pushes of random sample counts, past the alignment ring wrap."""
+    store = _perturbed_store(42)
+    mic, far = _scenario_pair(5, seconds=1.5)
+    n_frames = (len(mic) - 320) // 160 + 1
+    assert n_frames > 2 * TINY.d_max + BLOCK
+    whole = StreamingEnhancer(store)
+    ref = whole.push(mic.samples, far.samples)
+    ref_dists = whole.frame_dists
+    assert ref_dists.shape == (n_frames, TINY.d_max)
+    out, dist = enhance(mic, far, store, mode="causal")
+    assert np.array_equal(out.samples[: len(ref)], ref)
+    assert np.array_equal(dist.probs, ref_dists)
+
+    rng = np.random.default_rng(0)
+    schemes = {k: [(k + 1) * 160] + [k * 160] * n_frames for k in (1, BLOCK - 1, BLOCK, BLOCK + 1)}
+    schemes["random"] = rng.integers(1, 700, size=len(mic)).tolist()
+    for name, sizes in schemes.items():
+        got, got_dists = _stream_pushes(store, mic.samples, far.samples, sizes)
+        assert got.shape == ref.shape and got_dists.shape == ref_dists.shape, name
+        assert np.max(np.abs(got - ref)) < 1e-12, name
+        assert np.max(np.abs(got_dists - ref_dists)) < 1e-12, name
 
 
 def test_streaming_equals_causal_graph_past_ring_wrap():
@@ -461,7 +489,7 @@ def test_streaming_equals_causal_graph_past_ring_wrap():
     mic, far = _scenario_pair(8, seconds=1.5)
     spec_m, spec_f = dsp.stft(mic), dsp.stft(far)
     assert spec_m.n_frames > 2 * TINY.d_max  # the alignment rings wrap round
-    streamed, eng = _stream_10ms(store, mic.samples, far.samples)
+    streamed, streamed_dists, _ = _stream_10ms(store, mic.samples, far.samples)
     with ad.no_grad():
         mask, dist = forward(store, dsp.log_power(spec_m), dsp.log_power(spec_f),
                              mode="infer", align_mode="causal")
@@ -469,7 +497,7 @@ def test_streaming_equals_causal_graph_past_ring_wrap():
     n = spec_m.n_frames * 160
     assert len(streamed) == n
     assert np.max(np.abs(streamed - ref[:n])) < 1e-9
-    np.testing.assert_allclose(eng.delay_distribution().probs, dist.probs, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(streamed_dists, dist.probs, rtol=0, atol=1e-9)
 
 
 class _ShiftedAlignState:
@@ -522,11 +550,57 @@ def test_streaming_sanitizes_non_finite_input():
     dirty = sc.mic.samples.copy()
     dirty[at] = np.nan
     store = tiny_store(seed=33)
-    got, eng = _stream_10ms(store, dirty, far)
-    ref, eng_ref = _stream_10ms(store, clean, far)
+    got, _, eng = _stream_10ms(store, dirty, far)
+    ref, _, eng_ref = _stream_10ms(store, clean, far)
     assert np.all(np.isfinite(got))
     assert np.array_equal(got, ref)
     assert eng.sanitized_samples == 1
     assert eng_ref.sanitized_samples == 0
     eng.push(np.zeros(2), np.array([np.inf, -np.inf]))
     assert eng.sanitized_samples == 3
+
+
+def test_streaming_memory_bounded():
+    """Once warm, 10 ms pushes leave nothing behind that model.py allocated:
+    the delay distributions of a push replace those of the last one."""
+    sc = synth_scenario(ld_scenario_config("m", 4, 3.0))
+    mic, far = sc.mic.samples, sc.far.samples
+    hops = [(mic[k : k + 160], far[k : k + 160]) for k in range(0, len(mic) - 159, 160)]
+    eng = StreamingEnhancer(_perturbed_store(43))
+    own = [tracemalloc.Filter(True, model_mod.__file__)]
+    tracemalloc.start()
+    try:
+        for j in range(150):  # past the first ring wrap
+            eng.push(*hops[j % len(hops)])
+        before = tracemalloc.take_snapshot().filter_traces(own)
+        for j in range(150, 650):
+            eng.push(*hops[j % len(hops)])
+        after = tracemalloc.take_snapshot().filter_traces(own)
+    finally:
+        tracemalloc.stop()
+    grown = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert grown <= 1024
+
+
+@pytest.mark.parametrize("cfg", [TINY, ModelConfig.paper()], ids=["tiny", "paper"])
+def test_streaming_setup_reads_weights_by_view(cfg):
+    """Building the engine copies and casts no conv, GRU or alignment weight
+    and makes no work buffer: at paper scale it allocates under 2 MB, most of
+    it the alignment's far-feature ring."""
+    store = init_params(cfg, seed=1)
+    StreamingEnhancer(store)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        eng = StreamingEnhancer(store)
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if cfg is not TINY:
+        assert allocated <= 2 * 1024 * 1024
+    names = [f"{n}.w" for n in ENC_BLOCKS + ("dec1", "dec2", "dec3", "mask")]
+    names += ["gru.wih", "gru.whh", "gru.b", "align.wq", "align.bq", "align.wk", "align.bk"]
+    held = [layer._w for layer in eng._enc + eng._dec] + list(eng._gru_w) + list(eng._align_w)
+    assert len(held) == len(names)
+    for name, arr in zip(names, held):
+        assert arr.dtype == np.float64, name
+        assert np.shares_memory(arr, store[name].data), name
