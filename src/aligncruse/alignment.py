@@ -20,12 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .dsp import SAMPLE_RATE, AudioClip
+from .dsp import HOP, SAMPLE_RATE, AudioClip, sanitize
 from .errors import ConfigurationError, NoSignalError
 
 DEFAULT_MAX_DELAY = SAMPLE_RATE  # 1 s
 ONLINE_WINDOW = 2 * SAMPLE_RATE  # trailing correlation window of the online mode
-HOP = 160                        # samples per push of the online mode (10 ms)
 MIN_HISTORY = SAMPLE_RATE // 2   # the online mode reports confidence 0 before this
 HYSTERESIS = 0.05                # new peak must beat the held one by this margin
 SILENCE_RMS = 1e-7
@@ -129,21 +128,15 @@ class OnlineDelayEstimator:
         self._held_delay = 0
         self._held_conf = 0.0
 
-    def _sanitize(self, x: np.ndarray) -> np.ndarray:
-        finite = np.isfinite(x)
-        if finite.all():
-            return x
-        self.sanitized_samples += int(x.size - np.count_nonzero(finite))
-        return np.where(finite, x, 0.0)
-
     def push(self, mic_frame: np.ndarray, far_frame: np.ndarray) -> DelayEstimate:
         mic_frame = np.asarray(mic_frame, dtype=np.float64)
         far_frame = np.asarray(far_frame, dtype=np.float64)
         if mic_frame.shape != (HOP,) or far_frame.shape != (HOP,):
             raise ConfigurationError(f"each push takes one {HOP}-sample hop of mic and far, "
                                      f"got shapes {mic_frame.shape} and {far_frame.shape}")
-        mic_frame = self._sanitize(mic_frame)
-        far_frame = self._sanitize(far_frame)
+        mic_frame, bad_mic = sanitize(mic_frame)
+        far_frame, bad_far = sanitize(far_frame)
+        self.sanitized_samples += bad_mic + bad_far
         mic, far, energy = self._hist
         c = self._col
         mic[c : c + HOP] = mic_frame

@@ -21,6 +21,7 @@ import contextlib
 
 import numpy as np
 
+from . import dsp
 from .errors import ContractViolationError, NumericsError, ShapeError
 
 CHECK_FINITE = True
@@ -717,18 +718,12 @@ def weighted_delay_sum(x: Tensor, dist: Tensor) -> Tensor:
 
 # -- spectral ops for the loss -------------------------------------------------
 
-def stft_graph(x: Tensor, window: np.ndarray, hop: int) -> Tensor:
+def stft_graph(x: Tensor) -> Tensor:
     """Differentiable analysis transform; output is stacked (2, t, bins)
     with real parts in channel 0 and imaginary parts in channel 1."""
-    win_len = len(window)
-    fft_len = win_len
-    n = x.data.shape[0]
-    if n < win_len:
+    if x.data.shape[0] < dsp.WIN:
         raise ShapeError("input shorter than one analysis window")
-    t = (n - win_len) // hop + 1
-    idx = hop * np.arange(t)[:, None] + np.arange(win_len)[None, :]
-    segs = x.data[idx] * window
-    spec = np.fft.rfft(segs, n=fft_len, axis=1)
+    spec = dsp.analyze(dsp.frame(x.data))
     out = np.stack([spec.real, spec.imag])
 
     def bwd(g):
@@ -736,26 +731,21 @@ def stft_graph(x: Tensor, window: np.ndarray, hop: int) -> Tensor:
             return
         G = g[0] + 1j * g[1]
         # adjoint of the one-sided unnormalized DFT: no hermitian doubling
-        gseg = (np.fft.ifft(G, n=fft_len, axis=1) * fft_len).real * window
+        gseg = (np.fft.ifft(G, n=dsp.WIN, axis=1) * dsp.WIN).real * dsp.WINDOW
+        olap = dsp.overlap_add(gseg)
         dx = np.zeros_like(x.data)
-        for k_ in range(t):
-            dx[k_ * hop : k_ * hop + win_len] += gseg[k_]
+        dx[: olap.size] = olap
         x._accumulate(dx)
 
     return _make(out, (x,), bwd)
 
 
-def istft_graph(spec: Tensor, window: np.ndarray, hop: int) -> Tensor:
+def istft_graph(spec: Tensor) -> Tensor:
     """Differentiable overlap-add synthesis from stacked (2, t, bins)."""
-    win_len = len(window)
-    fft_len = win_len
-    _, t, bins = spec.data.shape
-    if bins != fft_len // 2 + 1:
-        raise ShapeError(f"expected {fft_len // 2 + 1} bins, got {bins}")
-    segs = np.fft.irfft(spec.data[0] + 1j * spec.data[1], n=fft_len, axis=1) * window
-    out = np.zeros((t - 1) * hop + win_len)
-    for k_ in range(t):
-        out[k_ * hop : k_ * hop + win_len] += segs[k_]
+    bins = spec.data.shape[2]
+    if bins != dsp.N_BINS:
+        raise ShapeError(f"expected {dsp.N_BINS} bins, got {bins}")
+    out = dsp.overlap_add(dsp.synthesize(spec.data[0] + 1j * spec.data[1]))
 
     delta = np.full(bins, 2.0)
     delta[0] = 1.0
@@ -764,10 +754,8 @@ def istft_graph(spec: Tensor, window: np.ndarray, hop: int) -> Tensor:
     def bwd(g):
         if not spec.requires_grad:
             return
-        idx = hop * np.arange(t)[:, None] + np.arange(win_len)[None, :]
-        gseg = g[idx] * window
-        R = np.fft.rfft(gseg, n=fft_len, axis=1)
-        dspec = np.stack([R.real, R.imag]) * (delta / fft_len)
+        R = dsp.analyze(dsp.frame(g))
+        dspec = np.stack([R.real, R.imag]) * (delta / dsp.WIN)
         spec._accumulate(dspec)
 
     return _make(out, (spec,), bwd)

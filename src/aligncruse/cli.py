@@ -205,29 +205,14 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _open_wav_reader(path):
-    import wave
-
-    w = wave.open(str(path), "rb")
-    if w.getnchannels() != 1 or w.getsampwidth() != 2 or w.getframerate() != dsp.SAMPLE_RATE:
-        w.close()
-        raise ConfigurationError(f"{path}: need mono 16-bit {dsp.SAMPLE_RATE} Hz PCM")
-    return w
-
-
 def _enhance_streaming(args, store):
     """Chunked file-to-file enhancement. Audio is read and written in bounded
     chunks; of each push's delay distributions only the per-frame argmax is
     kept, one int per 10 ms frame, for ``--emit-delay``. Returns those ints."""
-    import wave
-
-    chunk = 64 * 160  # 0.64 s per read
+    chunk = 64 * dsp.HOP  # 0.64 s per read
     eng = StreamingEnhancer(store, force_identity_mask=args.force_identity_mask)
-    with _open_wav_reader(args.mic) as wm, _open_wav_reader(args.far) as wf, \
-            wave.open(str(args.out), "wb") as wo:
-        wo.setnchannels(1)
-        wo.setsampwidth(2)
-        wo.setframerate(dsp.SAMPLE_RATE)
+    with dsp.open_wav(args.mic) as wm, dsp.open_wav(args.far) as wf, \
+            dsp.create_wav(args.out) as wo:
         total = wm.getnframes()
         written = 0
         argmax: list[int] = []
@@ -237,15 +222,12 @@ def _enhance_streaming(args, store):
             if not raw_m:
                 break
             n = min(len(raw_m), len(raw_f)) // 2
-            mic = np.frombuffer(raw_m[: 2 * n], dtype="<i2").astype(np.float64) / 32768.0
-            far = np.frombuffer(raw_f[: 2 * n], dtype="<i2").astype(np.float64) / 32768.0
-            out = eng.push(mic, far)
+            out = eng.push(dsp.pcm_to_float(raw_m[: 2 * n]), dsp.pcm_to_float(raw_f[: 2 * n]))
             argmax.extend(np.argmax(eng.frame_dists, axis=1).tolist())
-            ints = np.clip(np.rint(out * 32768.0), -32768, 32767).astype("<i2")
-            wo.writeframes(ints.tobytes())
+            wo.writeframes(dsp.float_to_pcm(out))
             written += len(out)
         if written < total:  # zero-padded tail past the last complete frame
-            wo.writeframes(np.zeros(total - written, dtype="<i2").tobytes())
+            wo.writeframes(dsp.float_to_pcm(np.zeros(total - written)))
     return argmax
 
 
@@ -284,7 +266,7 @@ def _cmd_align(args) -> int:
                 for k, (d, c) in enumerate(est.per_frame):
                     fh.write(json.dumps({"frame": k, "delay_samples": d,
                                          "confidence": round(c, 6)}) + "\n")
-    print(f"mode={args.mode} delay_ms={est.delay / 16.0:.3f} "
+    print(f"mode={args.mode} delay_ms={est.delay * 1000.0 / dsp.SAMPLE_RATE:.3f} "
           f"delay_samples={est.delay} confidence={est.confidence:.4f}")
     return 0
 

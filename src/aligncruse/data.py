@@ -18,7 +18,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from . import dsp
-from .dsp import SAMPLE_RATE, AudioClip
+from .dsp import SAMPLE_RATE, WIN, AudioClip
 from .errors import ConfigurationError
 
 LD_M_RANGE = (0.3, 0.5)   # seconds, moderate long-delay set
@@ -40,7 +40,7 @@ class ScenarioConfig:
         lo, hi = self.delay_range
         if not (0.0 <= lo <= hi <= 1.0):
             raise ConfigurationError(f"delay range must satisfy 0 <= lo <= hi <= 1, got {self.delay_range}")
-        if self.clip_len * SAMPLE_RATE < 320:
+        if self.clip_len * SAMPLE_RATE < WIN:
             raise ConfigurationError("clip too short for one analysis window")
         if self.nonlinearity not in ("none", "hard-clip", "tanh-gain"):
             raise ConfigurationError(f"unknown nonlinearity {self.nonlinearity!r}")

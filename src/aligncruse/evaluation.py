@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .alignment import global_delay, online_delay
-from .dsp import AudioClip, StftConfig
+from .alignment import DEFAULT_MAX_DELAY, global_delay, online_delay
+from .dsp import HOP, SAMPLE_RATE, WIN, AudioClip
 from .errors import ConfigurationError, ShapeError
 from .model import ParamStore, StreamingEnhancer, enhance
 
@@ -34,9 +34,8 @@ def erle(mic: AudioClip, enhanced: AudioClip) -> float:
     return float(np.clip(10.0 * np.log10(num / den), ERLE_MIN, ERLE_MAX))
 
 
-def align_success(est_delay_frames: int, true_delay_samples: int, hop: int = 160,
-                  tol_frames: int = 1) -> bool:
-    true_frames = int(round(true_delay_samples / hop))
+def align_success(est_delay_frames: int, true_delay_samples: int, tol_frames: int = 1) -> bool:
+    true_frames = int(round(true_delay_samples / HOP))
     return abs(est_delay_frames - true_frames) <= tol_frames
 
 
@@ -108,7 +107,7 @@ class EvalReport:
 
 def delay_recovery_report(system: str, manifest_rows: list, base_dir,
                           store: ParamStore | None = None,
-                          max_delay: int = 16000, hop: int = 160) -> EvalReport:
+                          max_delay: int = DEFAULT_MAX_DELAY) -> EvalReport:
     """Scores delay estimation (and ERLE when a model is given) per clip.
 
     ``system`` is one of: "model" (alignment from the network's delay
@@ -128,7 +127,7 @@ def delay_recovery_report(system: str, manifest_rows: list, base_dir,
             continue
         mic = dsp.read_wav(base / row["mic_path"])
         far = dsp.read_wav(base / row["far_path"])
-        entry: dict = {"id": row.get("id"), "true_delay_frames": int(round(true_delay / hop))}
+        entry: dict = {"id": row.get("id"), "true_delay_frames": int(round(true_delay / HOP))}
         if system == "model":
             out, dist = enhance(mic, far, store)
             est_frames = int(dist.argmax()) if dist.mode == "utterance" else int(dist.argmax()[-1])
@@ -136,7 +135,7 @@ def delay_recovery_report(system: str, manifest_rows: list, base_dir,
             entry["align_argmax_frames"] = est_frames
         else:
             est = (global_delay if system == "global" else online_delay)(mic, far, max_delay)
-            est_frames = int(round(est.delay / hop))
+            est_frames = int(round(est.delay / HOP))
             entry["align_argmax_frames"] = est_frames
             entry["confidence"] = est.confidence
         entry["abs_delay_err_frames"] = abs(est_frames - entry["true_delay_frames"])
@@ -145,8 +144,7 @@ def delay_recovery_report(system: str, manifest_rows: list, base_dir,
     return report
 
 
-def benchmark_runtime(store: ParamStore, n_frames: int = 10000,
-                      stft_cfg: StftConfig | None = None, warmup: int = 100,
+def benchmark_runtime(store: ParamStore, n_frames: int = 10000, warmup: int = 100,
                       seed: int = 0) -> dict:
     """Median time per 10 ms frame of the streaming engine, single stream,
     plus the derived real-time factor.
@@ -154,16 +152,13 @@ def benchmark_runtime(store: ParamStore, n_frames: int = 10000,
     Times are process CPU time, so time that a shared host takes away from
     the process (steal) does not enter the median as the wall clock would.
     """
-    stft_cfg = stft_cfg or StftConfig()
-    hop = stft_cfg.hop
     rng = np.random.default_rng(seed)
-    eng = StreamingEnhancer(store, stft_cfg)
-    # prime the framers so every push below completes exactly one frame
-    eng.push(rng.standard_normal(stft_cfg.win_len - hop) * 0.1,
-             rng.standard_normal(stft_cfg.win_len - hop) * 0.1)
+    eng = StreamingEnhancer(store)
+    # prime the framer so every push below completes exactly one frame
+    eng.push(rng.standard_normal(WIN - HOP) * 0.1, rng.standard_normal(WIN - HOP) * 0.1)
     times = np.empty(n_frames)
-    chunks_mic = rng.standard_normal((warmup + n_frames, hop)) * 0.1
-    chunks_far = rng.standard_normal((warmup + n_frames, hop)) * 0.1
+    chunks_mic = rng.standard_normal((warmup + n_frames, HOP)) * 0.1
+    chunks_far = rng.standard_normal((warmup + n_frames, HOP)) * 0.1
     for i in range(warmup):
         eng.push(chunks_mic[i], chunks_far[i])
     for i in range(n_frames):
@@ -173,6 +168,6 @@ def benchmark_runtime(store: ParamStore, n_frames: int = 10000,
     ms = float(np.median(times) * 1e3)
     return {
         "ms_per_frame": ms,
-        "real_time_factor": ms / (1e3 * hop / stft_cfg.sample_rate),
+        "real_time_factor": ms / (1e3 * HOP / SAMPLE_RATE),
         "n_frames": n_frames,
     }

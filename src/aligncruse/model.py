@@ -8,16 +8,19 @@ Two evaluation paths share one parameter store:
   clip, batch-norm in train or frozen mode;
 * a streaming (causal) path used for real-time inference -- per-frame delay
   distributions from a leaky score accumulator over ring-indexed key and
-  feature histories, 20 ms algorithmic latency. A push runs the frames it
-  completes as blocks of up to ``BLOCK`` frames: each conv, batch-norm
-  affine, ELU, skip and transposed conv runs once per block over carried
-  history, and only the GRU step and the alignment recursion run frame by
-  frame. Weights are read by view when the engine is built; batch-norm
-  runs as a per-channel affine.
+  feature histories, 20 ms algorithmic latency (one ``dsp.WIN`` window). A
+  push runs the frames it completes as blocks of up to ``BLOCK`` frames:
+  each conv, batch-norm affine, ELU, skip and transposed conv runs once per
+  block over carried history, and only the GRU step and the alignment
+  recursion run frame by frame. Weights are read by view when the engine is
+  built; batch-norm runs as a per-channel affine.
 
 The baseline variant ("cruse") is ``forward`` with the alignment block
 skipped: its far-end features must already be aligned, and its parameter
 count differs from the aligned model by exactly the alignment projections.
+
+Both paths take their frame geometry from ``dsp``: 10 ms hops of 20 ms
+windows, 161 bins, the only geometry a ``ModelConfig.n_bins`` of 161 fits.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from . import dsp
 from .autodiff import BnStats, Tensor
-from .dsp import AudioClip, SpectralFrames, StftConfig
+from .dsp import HOP, N_BINS, WIN, AudioClip, SpectralFrames
 from .errors import ConfigurationError, ContractViolationError, ShapeError
 
 
@@ -484,53 +487,52 @@ def apply_mask(mask: np.ndarray, mic_spec: SpectralFrames) -> SpectralFrames:
         raise ShapeError(f"mask shape {mask.shape} != spectrum {mic_spec.data.shape}")
     if not np.all(np.isfinite(mask)) or np.any(mask < 0):
         raise ContractViolationError("mask must be finite and non-negative")
-    return SpectralFrames(mask * mic_spec.data, mic_spec.win_len, mic_spec.hop, mic_spec.fft_len)
+    return SpectralFrames(mask * mic_spec.data)
 
 
-def _prepare_pair(mic: AudioClip, far: AudioClip, stft_cfg: StftConfig):
+def _prepare_pair(mic: AudioClip, far: AudioClip):
     if mic.sample_rate != far.sample_rate:
         raise ConfigurationError("mic and far sample rates differ")
     n = min(len(mic), len(far))
-    if abs(len(mic) - len(far)) > stft_cfg.hop:
+    if abs(len(mic) - len(far)) > HOP:
         warnings.warn(
             f"length mismatch of {abs(len(mic) - len(far))} samples; trimming to {n}"
         )
     return mic.samples[:n], far.samples[:n]
 
 
-def enhance(mic: AudioClip, far: AudioClip, store: ParamStore,
-            stft_cfg: StftConfig | None = None, mode: str = "utterance",
+def enhance(mic: AudioClip, far: AudioClip, store: ParamStore, mode: str = "utterance",
             force_identity_mask: bool = False):
     """stft -> features -> forward -> mask -> istft. Output length equals the
-    mic length (zero-padded tail past the last complete frame).
+    mic length (zero-padded tail past the last complete frame). A pair
+    shorter than one window gives zeros and a uniform delay distribution in
+    either mode.
 
     A "cruse" store runs in utterance mode only, on a ``far`` that is already
     aligned to ``mic``; ``forward`` gives it no delay distribution (None)."""
-    stft_cfg = stft_cfg or StftConfig()
-    mic_s, far_s = _prepare_pair(mic, far, stft_cfg)
+    mic_s, far_s = _prepare_pair(mic, far)
+    full = np.zeros(len(mic))
+    uniform = DelayDistribution(np.full(store.cfg.d_max, 1.0 / store.cfg.d_max))
+    if len(mic_s) < WIN:
+        return AudioClip(full, mic.sample_rate), uniform
 
     if mode == "causal":
-        eng = StreamingEnhancer(store, stft_cfg, force_identity_mask=force_identity_mask)
+        eng = StreamingEnhancer(store, force_identity_mask=force_identity_mask)
         out = eng.push(mic_s, far_s)
-        full = np.zeros(len(mic))
         full[: len(out)] = out
-        d = store.cfg.d_max
-        if not len(eng.frame_dists):  # shorter than one frame
-            return AudioClip(full, mic.sample_rate), DelayDistribution(np.full(d, 1.0 / d))
         return AudioClip(full, mic.sample_rate), DelayDistribution(eng.frame_dists, mode="per-frame")
 
-    spec_m = dsp.stft(AudioClip(mic_s, mic.sample_rate), stft_cfg)
-    spec_f = dsp.stft(AudioClip(far_s, far.sample_rate), stft_cfg)
+    spec_m = dsp.stft(AudioClip(mic_s, mic.sample_rate))
+    spec_f = dsp.stft(AudioClip(far_s, far.sample_rate))
     if force_identity_mask:
-        mask = np.ones((1, spec_m.n_frames, stft_cfg.n_bins))
-        dist = DelayDistribution(np.full(store.cfg.d_max, 1.0 / store.cfg.d_max))
+        mask = np.ones((1, spec_m.n_frames, N_BINS))
+        dist = uniform
     else:
         with ad.no_grad():
             mask_t, dist = forward(store, dsp.log_power(spec_m), dsp.log_power(spec_f),
                                    mode="infer", align_mode="utterance")
         mask = mask_t.data
-    enhanced = dsp.istft(apply_mask(mask, spec_m), stft_cfg)
-    full = np.zeros(len(mic))
+    enhanced = dsp.istft(apply_mask(mask, spec_m))
     full[: len(enhanced)] = enhanced.samples
     return AudioClip(full, mic.sample_rate), dist
 
@@ -708,18 +710,20 @@ class StreamingEnhancer:
     Work buffers are made by the first push that needs them. Build a new
     engine after changing the store.
 
-    Non-finite input samples are replaced by 0 before framing and counted in
-    ``sanitized_samples``. ``frame_dists`` holds the (n, d_max) delay
-    distributions of the n frames the last push completed.
+    Mic and far are framed as one stacked pair, so they cannot fall out of
+    lockstep: a push of unequal chunks raises ShapeError before any state
+    changes. Analysis and synthesis are the ``dsp`` functions that
+    ``enhance`` uses; the last half-window of each push's overlap-add is
+    carried into the next. Non-finite input samples are replaced by 0 before
+    framing and counted in ``sanitized_samples``. ``frame_dists`` holds the
+    (n, d_max) delay distributions of the n frames the last push completed.
     """
 
-    def __init__(self, store: ParamStore, stft_cfg: StftConfig | None = None,
-                 force_identity_mask: bool = False):
+    def __init__(self, store: ParamStore, force_identity_mask: bool = False):
         if store.arch != "align":
             raise ConfigurationError("streaming requires an 'align' parameter store")
         self.store = store
         self.cfg = cfg = store.cfg
-        self.stft_cfg = stft_cfg or StftConfig()
         self.force_identity_mask = force_identity_mask
         self.sanitized_samples = 0
         freqs = cfg.enc_freqs
@@ -734,18 +738,17 @@ class StreamingEnhancer:
         self._gru_w = tuple(store[n].data for n in ("gru.wih", "gru.whh", "gru.b"))
         self._h = np.zeros(cfg.gru_hidden)
         self._gain = store["mask.gain"].data[0]
-        self._mic_framer = dsp.StreamingFramer(self.stft_cfg)
-        self._far_framer = dsp.StreamingFramer(self.stft_cfg)
-        self._ola_tail = np.zeros(self.stft_cfg.win_len - self.stft_cfg.hop)
+        self._framer = dsp.StreamingFramer()  # frames mic and far as one (2, n) pair
+        self._ola_tail = np.zeros(HOP)
         self.frame_dists = np.zeros((0, cfg.d_max))
 
     def _block(self, feat_m: np.ndarray, feat_f: np.ndarray):
         """Pre-sigmoid mask and delay distributions of a block of frames
-        from their (t, n_bins) log-power features."""
+        from their (1, t, n_bins) log-power features."""
         mic1, mic2, far1, far2, enc3, enc4 = self._enc
-        m1 = mic1(feat_m[None])
+        m1 = mic1(feat_m)
         m2 = mic2(m1)
-        f2 = far2(far1(feat_f[None]))
+        f2 = far2(far1(feat_f))
         aligned, dists = self._align.step(m2, f2, *self._align_w)
         e3 = enc3(m2, aligned)
         e4 = enc4(e3)
@@ -761,43 +764,36 @@ class StreamingEnhancer:
             x = stage(skip, x)
         return x[0], dists
 
-    def _sanitize(self, chunk) -> np.ndarray:
-        x = np.asarray(chunk, dtype=np.float64)
-        finite = np.isfinite(x)
-        if finite.all():
-            return x
-        self.sanitized_samples += int(x.size - np.count_nonzero(finite))
-        return np.where(finite, x, 0.0)
-
     def push(self, mic_chunk: np.ndarray, far_chunk: np.ndarray) -> np.ndarray:
-        """Consumes equal-length sample chunks, returns enhanced samples."""
-        mic_frames = self._mic_framer.push(self._sanitize(mic_chunk))
-        far_frames = self._far_framer.push(self._sanitize(far_chunk))
-        if len(mic_frames) != len(far_frames):
-            raise ShapeError("mic and far chunks must stay in lockstep")
-        n = len(mic_frames)
+        """Consumes equal-length sample chunks, returns enhanced samples. A
+        pair of unequal chunks raises ShapeError and changes no state."""
+        mic = np.asarray(mic_chunk, dtype=np.float64)
+        far = np.asarray(far_chunk, dtype=np.float64)
+        if mic.ndim != 1 or mic.shape != far.shape:
+            raise ShapeError(f"mic and far chunks must be 1-D and of equal length, "
+                             f"got {mic.shape} and {far.shape}")
+        pair, bad = dsp.sanitize(np.array([mic, far]))
+        self.sanitized_samples += bad
+        frames = self._framer.push(pair)
+        n = frames.shape[1]
         self.frame_dists = np.empty((n, self.cfg.d_max))
         if n == 0:
             return np.zeros(0)
-        scfg = self.stft_cfg
-        spec_m = np.fft.rfft(mic_frames * scfg.window, n=scfg.fft_len, axis=1)
-        spec_f = np.fft.rfft(far_frames * scfg.window, n=scfg.fft_len, axis=1)
-        feat_m = np.log(spec_m.real**2 + spec_m.imag**2 + dsp.LOG_EPS)
-        feat_f = np.log(spec_f.real**2 + spec_f.imag**2 + dsp.LOG_EPS)
-        pre = np.empty_like(feat_m)
+        spec = dsp.analyze(frames)
+        # mic frames then far frames as one (2n, bins) spectrum, so one
+        # log_power call serves both
+        feat = dsp.log_power(SpectralFrames(spec.reshape(2 * n, N_BINS)))
+        pre = np.empty((n, N_BINS))
         for s in range(0, n, BLOCK):
             e = min(s + BLOCK, n)
-            pre[s:e], self.frame_dists[s:e] = self._block(feat_m[s:e], feat_f[s:e])
+            pre[s:e], self.frame_dists[s:e] = self._block(feat[:, s:e], feat[:, n + s : n + e])
         if self.force_identity_mask:
             mask = np.ones_like(pre)
         else:
             with np.errstate(over="ignore"):
                 mask = self._gain / (1.0 + np.exp(-pre))
 
-        segs = np.fft.irfft(mask * spec_m, n=scfg.fft_len, axis=1) * scfg.window
-        hop = scfg.hop
-        out = segs[:, :hop].copy()
-        out[0] += self._ola_tail
-        out[1:] += segs[:-1, hop:]
-        self._ola_tail = segs[-1, hop:].copy()
-        return out.reshape(-1)
+        out = dsp.overlap_add(dsp.synthesize(mask * spec[0]))
+        out[:HOP] += self._ola_tail
+        self._ola_tail = out[-HOP:].copy()
+        return out[:-HOP]

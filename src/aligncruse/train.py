@@ -20,7 +20,7 @@ from . import dsp
 from .alignment import apply_delay
 from .autodiff import Tensor
 from .data import Scenario
-from .dsp import AudioClip, StftConfig
+from .dsp import N_BINS, AudioClip
 from .errors import ConfigurationError, NumericsError
 from .evaluation import align_success, erle
 from .model import ParamStore, enhance, forward
@@ -34,7 +34,6 @@ PAPER_LR = 1.5e-4
 class LossConfig:
     compression: float = 0.3
     blend: float = 0.7          # weight of the complex (phase-aware) term
-    consistency: bool = True    # re-analyze the synthesized waveform
 
     def __post_init__(self):
         if not (0.0 < self.compression <= 1.0):
@@ -68,54 +67,45 @@ class OptimConfig:
         return cls(lr=PAPER_LR * batch / PAPER_BATCH, batch=batch, **kw)
 
 
-def _stacked_spec(clip_samples: np.ndarray, stft_cfg: StftConfig) -> np.ndarray:
-    spec = dsp.stft(AudioClip(clip_samples), stft_cfg).data
+def _stacked_spec(clip_samples: np.ndarray) -> np.ndarray:
+    spec = dsp.stft(AudioClip(clip_samples)).data
     return np.stack([spec.real, spec.imag])
 
 
-def loss_ccmse(enhanced_time: Tensor, target: AudioClip, cfg: LossConfig,
-               stft_cfg: StftConfig | None = None) -> Tensor:
+def loss_ccmse(enhanced_time: Tensor, target: AudioClip, cfg: LossConfig) -> Tensor:
     """Spectral compressed loss between an in-graph waveform and a target
     clip. Both sides pass through the same analysis transform, so equal
     signals give exactly zero."""
-    stft_cfg = stft_cfg or StftConfig()
     n = enhanced_time.data.shape[0]
     if len(target) < n:
         raise ConfigurationError("target shorter than the enhanced signal")
-    spec_hat = ad.stft_graph(enhanced_time, stft_cfg.window, stft_cfg.hop)
-    spec_ref = _stacked_spec(target.samples[:n], stft_cfg)
+    spec_hat = ad.stft_graph(enhanced_time)
+    spec_ref = _stacked_spec(target.samples[:n])
     loss = ad.ccmse_loss(spec_hat, spec_ref, cfg.compression, cfg.blend)
     if not np.isfinite(loss.data):
         raise NumericsError("non-finite loss")
     return loss
 
 
-def clip_loss(store: ParamStore, sc: Scenario, loss_cfg: LossConfig,
-              stft_cfg: StftConfig | None = None) -> tuple[Tensor, dict]:
+def clip_loss(store: ParamStore, sc: Scenario, loss_cfg: LossConfig) -> tuple[Tensor, dict]:
     """Forward + loss for one scenario. Returns the scalar loss node and a
     dict with the utterance delay distribution for metric logging."""
-    stft_cfg = stft_cfg or StftConfig()
     n = min(len(sc.mic), len(sc.far))
-    spec_m = dsp.stft(AudioClip(sc.mic.samples[:n]), stft_cfg)
+    spec_m = dsp.stft(AudioClip(sc.mic.samples[:n]))
     spec_const = np.stack([spec_m.data.real, spec_m.data.imag])
 
     far = AudioClip(sc.far.samples[:n])
     if store.arch == "cruse":
         far = apply_delay(far, sc.delay)  # the ground-truth alignment the baseline trains on
-    spec_f = dsp.stft(far, stft_cfg)
+    spec_f = dsp.stft(far)
     mask, dist = forward(store, dsp.log_power(spec_m), dsp.log_power(spec_f),
                          mode="train", align_mode="utterance")
 
     t = spec_m.n_frames
-    mask2d = ad.reshape(mask, (t, stft_cfg.n_bins))
+    mask2d = ad.reshape(mask, (t, N_BINS))
     enhanced_spec = ad.mul(Tensor(spec_const), mask2d)
-    if loss_cfg.consistency:
-        wave = ad.istft_graph(enhanced_spec, stft_cfg.window, stft_cfg.hop)
-        loss = loss_ccmse(wave, sc.target, loss_cfg, stft_cfg)
-    else:
-        n_used = (t - 1) * stft_cfg.hop + stft_cfg.win_len
-        spec_ref = _stacked_spec(sc.target.samples[:n_used], stft_cfg)
-        loss = ad.ccmse_loss(enhanced_spec, spec_ref, loss_cfg.compression, loss_cfg.blend)
+    wave = ad.istft_graph(enhanced_spec)
+    loss = loss_ccmse(wave, sc.target, loss_cfg)
     aux = {"dist": dist, "frames": t}
     return loss, aux
 
@@ -196,18 +186,16 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
-def validate(store: ParamStore, val_set: list[Scenario],
-             stft_cfg: StftConfig | None = None) -> dict:
+def validate(store: ParamStore, val_set: list[Scenario]) -> dict:
     """Mean ERLE and alignment top-1 (±1 frame) over a fixed validation set."""
-    stft_cfg = stft_cfg or StftConfig()
     erles, hits = [], []
     for sc in val_set:
         if store.arch == "align":
-            out, dist = enhance(sc.mic, sc.far, store, stft_cfg)
-            hits.append(align_success(int(dist.argmax()), sc.delay, stft_cfg.hop))
+            out, dist = enhance(sc.mic, sc.far, store)
+            hits.append(align_success(int(dist.argmax()), sc.delay))
         else:
             # validation mirrors the training condition: ground-truth alignment
-            out, _ = enhance(sc.mic, apply_delay(sc.far, sc.delay), store, stft_cfg)
+            out, _ = enhance(sc.mic, apply_delay(sc.far, sc.delay), store)
         erles.append(erle(sc.mic, out))
     result = {"val_erle_db": float(np.mean(erles))}
     result["align_top1"] = float(np.mean(hits)) if hits else None
@@ -217,7 +205,6 @@ def validate(store: ParamStore, val_set: list[Scenario],
 def train_loop(provider, store: ParamStore, optim_cfg: OptimConfig,
                loss_cfg: LossConfig, *, seed: int = 0, out_dir=None,
                val_set: list[Scenario] | None = None,
-               stft_cfg: StftConfig | None = None,
                resume_from=None, quiet: bool = True) -> list[dict]:
     """Trains in place. ``provider(epoch)`` returns the epoch's scenario list
     (deterministic in epoch, so runs are reproducible and resumable).
@@ -226,7 +213,6 @@ def train_loop(provider, store: ParamStore, optim_cfg: OptimConfig,
     ``out_dir`` is given. Aborts on sustained divergence (loss above 10x the
     first epoch's for 3 consecutive epochs).
     """
-    stft_cfg = stft_cfg or StftConfig()
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -260,7 +246,7 @@ def train_loop(provider, store: ParamStore, optim_cfg: OptimConfig,
             check_prev, ad.CHECK_FINITE = ad.CHECK_FINITE, False
             try:
                 for sc in batch:
-                    loss, _ = clip_loss(store, sc, loss_cfg, stft_cfg)
+                    loss, _ = clip_loss(store, sc, loss_cfg)
                     scaled = ad.mul(loss, Tensor(np.asarray(1.0 / len(batch))))
                     ad.backward(scaled)
                     batch_vals.append(float(loss.data))
@@ -273,7 +259,7 @@ def train_loop(provider, store: ParamStore, optim_cfg: OptimConfig,
         mean_loss = float(np.mean(losses))
         row = {"epoch": epoch, "loss": mean_loss}
         if val_set:
-            row.update(validate(store, val_set, stft_cfg))
+            row.update(validate(store, val_set))
         else:
             row.update({"val_erle_db": None, "align_top1": None})
         row["wall_s"] = round(time.perf_counter() - t0, 3)

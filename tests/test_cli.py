@@ -86,6 +86,20 @@ def test_enhance_emit_delay_causal_matches_enhance(tmp_path, tiny_ckpt, wav_pair
     assert payload == {"mode": "per-frame", "argmax_frames": dist.argmax().tolist()}
 
 
+def test_enhance_causal_wav_equals_write_wav_of_enhance(tmp_path, tiny_ckpt, wav_pair):
+    """The chunked causal path writes the bytes that write_wav writes for a
+    whole-file causal enhance."""
+    mic_p, far_p = wav_pair
+    out_p, ref_p = tmp_path / "o.wav", tmp_path / "ref.wav"
+    code = main(["enhance", "--model", str(tiny_ckpt), "--mic", str(mic_p),
+                 "--far", str(far_p), "--out", str(out_p), "--mode", "causal"])
+    assert code == 0
+    store, _ = load_params(tiny_ckpt)
+    out, _ = enhance(dsp.read_wav(mic_p), dsp.read_wav(far_p), store, mode="causal")
+    dsp.write_wav(ref_p, out)
+    assert out_p.read_bytes() == ref_p.read_bytes()
+
+
 def test_enhance_emit_delay_rejects_cruse_model(tmp_path, wav_pair, capsys):
     mic_p, far_p = wav_pair
     ckpt = tmp_path / "cruse.acrs"

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aligncruse import autodiff as ad
 from aligncruse import dsp
 from aligncruse.dsp import (
+    HOP,
+    WIN,
+    WINDOW,
     AudioClip,
     SpectralFrames,
-    StftConfig,
     StreamingFramer,
     istft,
     log_power,
@@ -23,6 +26,25 @@ def dft_oracle(x):
     m = np.arange(n)[None, :]
     w = np.exp(-2j * np.pi * k * m / n)
     return w @ x
+
+
+def loop_frames(x):
+    """Reference framing: one gathered row per hop-advanced window."""
+    t = (len(x) - WIN) // HOP + 1 if len(x) >= WIN else 0
+    idx = HOP * np.arange(t)[:, None] + np.arange(WIN)[None, :]
+    return x[idx]
+
+
+def loop_overlap_add(segs):
+    """Reference overlap-add: each segment added into place in turn."""
+    out = np.zeros((len(segs) - 1) * HOP + WIN)
+    for k in range(len(segs)):
+        out[k * HOP : k * HOP + WIN] += segs[k]
+    return out
+
+
+# Below one window, exact multiples of HOP, and ragged tails.
+LENGTHS = [0, 1, 159, 160, 319, 320, 321, 479, 480, 481, 1000, 1600, 16037]
 
 
 # -- window ---------------------------------------------------------------
@@ -53,11 +75,31 @@ def test_sqrt_hann_rejects_bad_length(bad):
         make_sqrt_hann(bad)
 
 
-def test_stft_config_validation():
-    with pytest.raises(ConfigurationError):
-        StftConfig(win_len=320, hop=100)
-    with pytest.raises(ConfigurationError):
-        StftConfig(win_len=300, fft_len=320, hop=150)
+def test_geometry_constants():
+    assert (dsp.SAMPLE_RATE, HOP, WIN, dsp.N_BINS) == (16000, 160, 320, 161)
+    assert np.array_equal(WINDOW, make_sqrt_hann(320))
+
+
+# -- framing and overlap-add ----------------------------------------------
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_frame_equals_loop_framing(n):
+    x = np.random.default_rng(n).standard_normal(n)
+    got = dsp.frame(x)
+    ref = loop_frames(x)
+    assert got.shape == ref.shape == (max(0, (n - WIN) // HOP + 1), WIN)
+    assert np.array_equal(got, ref)
+    # leading axes frame independently
+    pair = np.stack([x, -x])
+    assert np.array_equal(dsp.frame(pair), np.stack([ref, -ref]))
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3, 17])
+def test_overlap_add_equals_loop(t):
+    segs = np.random.default_rng(t).standard_normal((t, WIN))
+    got = dsp.overlap_add(segs)
+    assert np.array_equal(got, loop_overlap_add(segs))
+    assert np.array_equal(dsp.overlap_add(np.stack([segs, 2 * segs]))[1], 2 * got)
 
 
 # -- stft -----------------------------------------------------------------
@@ -95,11 +137,53 @@ def test_stft_cosine_peaks_at_bin5():
 def test_stft_matches_direct_dft_oracle():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(3 * 160 + 320)
-    cfg = StftConfig()
-    spec = stft(AudioClip(x), cfg)
+    spec = stft(AudioClip(x))
     for k in range(spec.n_frames):
-        seg = x[k * 160 : k * 160 + 320] * cfg.window
+        seg = x[k * 160 : k * 160 + 320] * WINDOW
         np.testing.assert_allclose(spec.data[k], dft_oracle(seg), atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [n for n in LENGTHS if n >= WIN])
+def test_stft_istft_equal_loop_references(n):
+    x = np.random.default_rng(n).standard_normal(n)
+    spec = stft(AudioClip(x)).data
+    assert np.array_equal(spec, np.fft.rfft(loop_frames(x) * WINDOW, n=WIN, axis=1))
+    segs = np.fft.irfft(spec, n=WIN, axis=1) * WINDOW
+    assert np.array_equal(istft(SpectralFrames(spec)).samples, loop_overlap_add(segs))
+
+
+def _grad_of(op, leaf, g):
+    """Output of ``op(leaf)`` and the leaf's gradient of <out, g>."""
+    out = op(leaf)
+    ad.backward(ad.sum_all(ad.mul(out, ad.Tensor(g))))
+    return out.data, leaf.grad
+
+
+@pytest.mark.parametrize("n", [n for n in LENGTHS if n >= WIN])
+def test_stft_graph_istft_graph_equal_loop_references(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n)
+    frames = loop_frames(x)
+    t = len(frames)
+
+    g = rng.standard_normal((2, t, dsp.N_BINS))
+    out, dx = _grad_of(ad.stft_graph, ad.Tensor(x.copy(), requires_grad=True), g)
+    spec = np.fft.rfft(frames * WINDOW, n=WIN, axis=1)
+    assert np.array_equal(out, np.stack([spec.real, spec.imag]))
+    gseg = (np.fft.ifft(g[0] + 1j * g[1], n=WIN, axis=1) * WIN).real * WINDOW
+    ref_dx = np.zeros(n)
+    ref_dx[: (t + 1) * HOP] = loop_overlap_add(gseg)
+    assert np.array_equal(dx, ref_dx)
+
+    z = rng.standard_normal((2, t, dsp.N_BINS))
+    g = rng.standard_normal((t + 1) * HOP)
+    out, dz = _grad_of(ad.istft_graph, ad.Tensor(z.copy(), requires_grad=True), g)
+    segs = np.fft.irfft(z[0] + 1j * z[1], n=WIN, axis=1) * WINDOW
+    assert np.array_equal(out, loop_overlap_add(segs))
+    delta = np.full(dsp.N_BINS, 2.0)
+    delta[[0, -1]] = 1.0
+    r = np.fft.rfft(loop_frames(g) * WINDOW, n=WIN, axis=1)
+    assert np.array_equal(dz, np.stack([r.real, r.imag]) * (delta / WIN))
 
 
 def test_stft_linearity():
@@ -125,11 +209,10 @@ def test_stft_causality_bit_exact():
 def test_parseval_single_frame():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(320)
-    cfg = StftConfig()
-    spec = stft(AudioClip(x), cfg).data[0]
+    spec = stft(AudioClip(x)).data[0]
     full = np.concatenate([spec, np.conj(spec[-2:0:-1])])
-    time_energy = np.sum((x * cfg.window) ** 2)
-    freq_energy = np.sum(np.abs(full) ** 2) / cfg.fft_len
+    time_energy = np.sum((x * WINDOW) ** 2)
+    freq_energy = np.sum(np.abs(full) ** 2) / WIN
     np.testing.assert_allclose(time_energy, freq_energy, rtol=1e-9)
 
 
@@ -150,9 +233,8 @@ def test_istft_dc_only_frame():
     # inverse DFT of spectrum [320, 0, ..., 0] is a constant 1, then windowed
     spec = np.zeros((1, 161), dtype=complex)
     spec[0, 0] = 320.0
-    cfg = StftConfig()
-    clip = istft(SpectralFrames(spec), cfg)
-    np.testing.assert_allclose(clip.samples, cfg.window, atol=1e-12)
+    clip = istft(SpectralFrames(spec))
+    np.testing.assert_allclose(clip.samples, WINDOW, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -205,9 +287,29 @@ def test_streaming_framer_matches_batch():
     got = []
     for start in range(0, 2000, 37):
         got.extend(framer.push(x[start : start + 37]))
-    batch = dsp.frame_signal(x, StftConfig())
+    batch = loop_frames(x)
     assert len(got) == len(batch)
     assert np.array_equal(np.asarray(got), batch)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_streaming_framer_random_chunkings_of_a_pair(seed):
+    """Any chunking of a stacked (2, n) pair gives the loop framing of each
+    row, including chunks of 0 samples and a ragged end."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 3000))
+    pair = rng.standard_normal((2, n))
+    framer = StreamingFramer()
+    got, pos = [], 0
+    while pos < n:
+        step = int(rng.integers(0, 700))
+        frames = framer.push(pair[:, pos : pos + step])
+        assert frames.shape[::2] == (2, WIN)
+        got.append(frames)
+        pos += step
+    got = np.concatenate(got, axis=1) if got else np.zeros((2, 0, WIN))
+    for row in range(2):
+        assert np.array_equal(got[row], loop_frames(pair[row]))
 
 
 # -- wav io ---------------------------------------------------------------

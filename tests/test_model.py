@@ -8,7 +8,7 @@ from aligncruse import dsp
 from aligncruse import model as model_mod
 from aligncruse.autodiff import Tensor
 from aligncruse.data import ScenarioConfig, ld_scenario_config, synth_scenario
-from aligncruse.dsp import AudioClip, SpectralFrames, StftConfig
+from aligncruse.dsp import WIN, AudioClip, SpectralFrames
 from aligncruse.errors import ConfigurationError, ContractViolationError, ShapeError
 from aligncruse.model import (
     BLOCK,
@@ -369,6 +369,23 @@ def test_enhance_length_mismatch_warns():
     assert len(out) == len(mic)
 
 
+@pytest.mark.parametrize("mode", ["utterance", "causal"])
+@pytest.mark.parametrize("n", [0, 1, WIN - 1, WIN])
+def test_enhance_short_clips_both_modes(n, mode):
+    """Below one window both modes give zeros and a uniform distribution;
+    at one window both give one frame."""
+    rng = np.random.default_rng(n)
+    mic, far = (AudioClip(rng.standard_normal(n) * 0.1) for _ in range(2))
+    out, dist = enhance(mic, far, tiny_store(seed=22), mode=mode)
+    assert len(out) == n
+    if n < WIN:
+        assert np.all(out.samples == 0)
+        assert np.array_equal(dist.probs, np.full(TINY.d_max, 1.0 / TINY.d_max))
+    else:
+        assert np.any(out.samples != 0)
+        assert dist.probs.shape == ((TINY.d_max,) if mode == "utterance" else (1, TINY.d_max))
+
+
 # -- streaming ---------------------------------------------------------------------------
 
 def test_streaming_matches_graph_when_dmax_is_one():
@@ -558,6 +575,28 @@ def test_streaming_sanitizes_non_finite_input():
     assert eng_ref.sanitized_samples == 0
     eng.push(np.zeros(2), np.array([np.inf, -np.inf]))
     assert eng.sanitized_samples == 3
+
+
+def test_streaming_rejected_push_changes_no_state():
+    """A push of unequal mic and far chunks raises ShapeError and changes no
+    state: continuing gives the samples and delay distributions of an engine
+    that never saw it, so mic and far stay in lockstep."""
+    store = tiny_store(seed=34)
+    mic, far = _scenario_pair(9, seconds=0.6)
+    m, f = mic.samples, far.samples
+    eng, ref = StreamingEnhancer(store), StreamingEnhancer(store)
+    for e in (eng, ref):
+        e.push(m[:320], f[:320])
+    with pytest.raises(ShapeError):
+        eng.push(m[320:480], f[320:400])
+    with pytest.raises(ShapeError):
+        eng.push(np.stack([m[320:480]] * 2), np.stack([f[320:480]] * 2))
+    assert eng.sanitized_samples == 0
+    for k in range(320, len(m) - 159, 160):
+        got = eng.push(m[k : k + 160], f[k : k + 160])
+        want = ref.push(m[k : k + 160], f[k : k + 160])
+        assert np.array_equal(got, want)
+        assert np.array_equal(eng.frame_dists, ref.frame_dists)
 
 
 def test_streaming_memory_bounded():

@@ -4,7 +4,7 @@ import pytest
 from aligncruse import autodiff as ad
 from aligncruse.autodiff import Tensor
 from aligncruse.data import ScenarioConfig, child_seed, synth_scenario
-from aligncruse.dsp import AudioClip, StftConfig
+from aligncruse.dsp import HOP, N_BINS, WIN, WINDOW, AudioClip
 from aligncruse.errors import ConfigurationError, NumericsError
 from aligncruse.model import ModelConfig, init_params
 from aligncruse.params_io import load_params
@@ -74,29 +74,24 @@ def test_loss_permutation_invariant():
 
 
 def test_loss_gradient_through_consistency_chain():
-    # mask -> masked spectrum -> synthesis -> analysis -> loss, vs finite diff
-    stft_cfg = StftConfig(win_len=16, hop=8, fft_len=16)
+    # mask -> masked spectrum -> synthesis -> analysis -> loss, vs finite
+    # diff at every coordinate of the mask
     rng = np.random.default_rng(4)
-    t, bins = 3, 9
-    spec_const = rng.standard_normal((2, t, bins))
-    target = rng.standard_normal((t - 1) * 8 + 16) * 0.5
+    t = 3
+    spec_const = rng.standard_normal((2, t, N_BINS))
+    target = rng.standard_normal((t - 1) * HOP + WIN) * 0.5
+    # reference from the target waveform via the same analysis
+    idx = HOP * np.arange(t)[:, None] + np.arange(WIN)[None, :]
+    s = np.fft.rfft(target[idx] * WINDOW, n=WIN, axis=1)
+    ref = np.stack([s.real, s.imag])
 
     def chain(mask):
         masked = ad.mul(Tensor(spec_const), mask)
-        wave = ad.istft_graph(masked, stft_cfg.window, stft_cfg.hop)
-        spec_hat = ad.stft_graph(wave, stft_cfg.window, stft_cfg.hop)
-        ref = np.stack([
-            np.fft.rfft((target[:16]), n=16).real[None, :].repeat(t, 0) * 0,
-            np.zeros((t, bins)),
-        ])
-        # reference from the target waveform via the same analysis
-        idx = 8 * np.arange(t)[:, None] + np.arange(16)[None, :]
-        segs = target[idx] * stft_cfg.window
-        s = np.fft.rfft(segs, n=16, axis=1)
-        ref = np.stack([s.real, s.imag])
+        wave = ad.istft_graph(masked)
+        spec_hat = ad.stft_graph(wave)
         return ad.ccmse_loss(spec_hat, ref, 0.3, 0.7)
 
-    mask0 = rng.uniform(0.2, 1.0, size=(t, bins))
+    mask0 = rng.uniform(0.2, 1.0, size=(t, N_BINS))
     err = ad.grad_check(chain, [mask0])
     assert err < 1e-3
 
@@ -205,7 +200,7 @@ def _provider(n=6, seed=5):
 def test_train_loop_runs_and_logs(tmp_path):
     store = init_params(MICRO, seed=2)
     optim = OptimConfig(lr=1e-3, batch=3, epochs=2)
-    hist = train_loop(_provider(), store, optim, LossConfig(consistency=True),
+    hist = train_loop(_provider(), store, optim, LossConfig(),
                       seed=1, out_dir=tmp_path)
     assert len(hist) == 2
     assert (tmp_path / "metrics.jsonl").exists()
