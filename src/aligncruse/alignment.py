@@ -10,6 +10,9 @@ running sum that each push updates: the new mic hop's correlation against
 the far end is added, and that of the mic hop leaving the window is
 subtracted. Once per window length of pushes the sum is recomputed directly
 from the window, so rounding cannot build up over an unbounded stream.
+
+The whole-clip correlation and the online re-anchor are FFT convolutions,
+``dsp.fftconvolve``, which gives the same bits as ``scipy.signal``'s.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from .dsp import HOP, SAMPLE_RATE, AudioClip, sanitize
+from .dsp import HOP, SAMPLE_RATE, AudioClip, fftconvolve, sanitize
 from .errors import ConfigurationError, NoSignalError
 
 DEFAULT_MAX_DELAY = SAMPLE_RATE  # 1 s

@@ -42,7 +42,7 @@ def no_grad():
 
 
 def _check_finite(arr):
-    if CHECK_FINITE and not np.all(np.isfinite(arr)):
+    if CHECK_FINITE and not np.isfinite(arr).all():
         raise NumericsError("non-finite value produced by an op")
 
 
@@ -105,10 +105,16 @@ def _make(data, parents, backward_fn):
 
 
 def backward(root: Tensor):
-    """Reverse-mode sweep from a scalar root; frees the graph afterwards.
+    """Reverse-mode sweep from a scalar root that frees the graph as it goes.
 
     Gradients accumulate into every ``requires_grad`` leaf reachable from
-    ``root``. Calling backward twice on the same root is an error.
+    ``root``. A node is released once its backward has run, by which time
+    every node that reads it has run too: it loses its closure, its parent
+    links and, unless it is a leaf or the root, its gradient. So the
+    activations and gradients that nothing else holds are freed during the
+    sweep, and its peak memory stays close to what the forward left live.
+    Freeing changes neither the arithmetic nor its order. Calling backward
+    twice on the same root is an error.
     """
     if root.size != 1:
         raise ContractViolationError("backward requires a scalar root")
@@ -128,18 +134,18 @@ def backward(root: Tensor):
         for p in node._parents:
             if id(p) not in visited:
                 stack.append((p, False))
+    # the graph is consumed from here on, even if a closure raises midway
+    root._freed = True
     root.grad = np.ones_like(root.data)
-    for node in reversed(topo):
-        if node._backward_fn is not None:
-            node._backward_fn(node.grad)
-    # free: drop closures and intermediate grads, keep leaf grads
-    for node in topo:
-        node._backward_fn = None
+    while topo:
+        node = topo.pop()
+        fn, node._backward_fn = node._backward_fn, None
+        if fn is not None:
+            fn(node.grad)
         if node._parents:
             node._parents = ()
             if node is not root:
                 node.grad = None
-    root._freed = True
 
 
 def _unbroadcast(g, shape):

@@ -4,7 +4,9 @@ Everything is deterministic from a 64-bit seed: sources are an
 envelope-modulated pink-noise speech surrogate, the echo path is a delayed,
 optionally distorted far end signal convolved with an exponentially decaying
 random room impulse response, and mixing gains realize the drawn
-signal-to-echo / signal-to-noise ratios exactly.
+signal-to-echo / signal-to-noise ratios exactly. Impulse responses of 128
+taps or more are applied by ``dsp.fftconvolve``, which gives the same bits
+as ``scipy.signal``'s.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from . import dsp
-from .dsp import SAMPLE_RATE, WIN, AudioClip
+from .dsp import SAMPLE_RATE, WIN, AudioClip, fftconvolve
 from .errors import ConfigurationError
 
 LD_M_RANGE = (0.3, 0.5)   # seconds, moderate long-delay set

@@ -18,6 +18,9 @@ overlap-add adds the second half of each segment to the first half of the
 next. ``frame`` and ``overlap_add`` are the only framing and overlap-add:
 analysis and synthesis, the autodiff STFT ops and the streaming engine all
 call them.
+
+``fftconvolve`` is the one FFT convolution, for the delay estimators'
+cross-correlations and the synthetic echo paths; it needs numpy only.
 """
 
 from __future__ import annotations
@@ -151,6 +154,45 @@ def sanitize(x: np.ndarray) -> tuple[np.ndarray, int]:
     if finite.all():
         return x, 0
     return np.where(finite, x, 0.0), int(x.size - np.count_nonzero(finite))
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n, the real-FFT length that
+    ``scipy.fft.next_fast_len`` picks."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def fftconvolve(a: np.ndarray, b: np.ndarray, mode: str = "full") -> np.ndarray:
+    """Linear convolution of two non-empty real 1-D arrays, computed the way
+    ``scipy.signal.fftconvolve`` computes it, so the two agree to the bit
+    where their FFTs do: a product when either input has one sample, else one
+    product of real FFTs of ``_fast_len`` of the full length, the longer
+    input first in ``valid`` mode. ``full`` gives all ``a.size + b.size - 1``
+    samples; ``valid`` gives only those where the shorter input lies wholly
+    inside the longer."""
+    if mode not in ("full", "valid"):
+        raise ConfigurationError(f"unknown convolution mode {mode!r}")
+    if a.size == 1 or b.size == 1:
+        return a * b
+    if mode == "valid" and b.size > a.size:
+        a, b = b, a
+    n = a.size + b.size - 1
+    n_fft = _fast_len(n)
+    out = np.fft.irfft(np.fft.rfft(a, n_fft) * np.fft.rfft(b, n_fft), n_fft)[:n]
+    if mode == "full":
+        return out
+    return out[b.size - 1 : a.size]
 
 
 class StreamingFramer:

@@ -532,8 +532,10 @@ def enhance(mic: AudioClip, far: AudioClip, store: ParamStore, mode: str = "utte
             mask_t, dist = forward(store, dsp.log_power(spec_m), dsp.log_power(spec_f),
                                    mode="infer", align_mode="utterance")
         mask = mask_t.data
-    enhanced = dsp.istft(apply_mask(mask, spec_m))
-    full[: len(enhanced)] = enhanced.samples
+    # istft's last HOP samples are the last segment's unpaired fade: both
+    # modes stop at the last complete frame
+    valid = spec_m.n_frames * HOP
+    full[:valid] = dsp.istft(apply_mask(mask, spec_m)).samples[:valid]
     return AudioClip(full, mic.sample_rate), dist
 
 

@@ -247,7 +247,7 @@ def test_round_trip_interior(seed):
     assert np.max(np.abs(y[interior] - x[interior])) < 1e-6
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
 def test_round_trip_interior_property(seed, n_hops):
     rng = np.random.default_rng(seed)
@@ -335,3 +335,56 @@ def test_wav_rejects_stereo(tmp_path):
         w.writeframes(b"\x00" * 64)
     with pytest.raises(ConfigurationError):
         dsp.read_wav(path)
+
+
+# -- FFT convolution, no scipy at runtime -----------------------------------------
+
+@pytest.mark.parametrize("n_a,n_b,mode", [
+    (48159, 32000, "valid"),   # the online estimator's re-anchor
+    (160000, 16000, "full"),   # a 10 s clip through the longest room response
+    (64000, 800, "full"),      # a 4 s clip through the shortest
+    (3000, 5000, "valid"),
+    (1000, 17, "full"),
+    (1, 1, "full"), (1, 2, "full"), (2, 1, "full"), (2, 2, "full"), (2, 9, "full"),
+    (1, 1, "valid"), (1, 2, "valid"), (2, 1, "valid"), (2, 2, "valid"), (9, 2, "valid"),
+])
+def test_fftconvolve_matches_scipy(n_a, n_b, mode):
+    from scipy.signal import fftconvolve as ref_conv
+
+    rng = np.random.default_rng(n_a + 7 * n_b)
+    a, b = rng.standard_normal(n_a), rng.standard_normal(n_b)
+    ref = ref_conv(a, b, mode=mode)
+    got = dsp.fftconvolve(a, b, mode)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_fft_length_is_five_smooth():
+    from scipy.fft import next_fast_len
+
+    assert all(dsp._fast_len(n) == next_fast_len(n, real=True) for n in range(1, 5000))
+
+
+def test_fftconvolve_rejects_unknown_mode():
+    with pytest.raises(ConfigurationError):
+        dsp.fftconvolve(np.ones(4), np.ones(3), "same")
+
+
+def test_package_imports_without_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import aligncruse
+
+    src = str(Path(aligncruse.__file__).resolve().parents[1])
+    code = (
+        "import importlib, pkgutil, sys, aligncruse\n"
+        "for m in pkgutil.iter_modules(aligncruse.__path__):\n"
+        "    importlib.import_module('aligncruse.' + m.name)\n"
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

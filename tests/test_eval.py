@@ -45,7 +45,7 @@ def test_erle_length_mismatch():
         erle(AudioClip(np.zeros(10)), AudioClip(np.zeros(11)))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.floats(0.01, 100.0), st.integers(0, 2**31))
 def test_erle_scale_invariance(scale, seed):
     # the eps guard perturbs tiny energies, so invariance is approximate
@@ -143,8 +143,11 @@ def test_benchmark_runtime_tiny():
 
 
 def test_benchmark_monotone_in_model_size():
+    # the two engines take turns over 5 rounds, so a slow spell of a shared
+    # host lands on both; the medians over the rounds are compared
     tiny = init_params(ModelConfig.tiny(), seed=1)
     small = init_params(ModelConfig.tiny().scaled(2.0), seed=1)
-    t_tiny = benchmark_runtime(tiny, n_frames=200, warmup=20)["ms_per_frame"]
-    t_small = benchmark_runtime(small, n_frames=200, warmup=20)["ms_per_frame"]
+    rounds = [[benchmark_runtime(store, n_frames=200, warmup=20)["ms_per_frame"]
+               for store in (tiny, small)] for _ in range(5)]
+    t_tiny, t_small = np.median(rounds, axis=0)
     assert t_tiny < t_small

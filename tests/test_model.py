@@ -402,7 +402,10 @@ def test_streaming_matches_graph_when_dmax_is_one():
     causal = enhance(mic, far, store, mode="causal")[0].samples
     t = (len(mic) - 320) // 160 + 1
     valid = t * 160
-    assert np.max(np.abs(utt[:valid] - causal[:valid])) < 1e-6
+    assert len(utt) == len(causal) == len(mic)
+    assert np.max(np.abs(utt - causal)) < 1e-6
+    # past the last complete frame both modes are silent, not a fade
+    assert not utt[valid:].any() and not causal[valid:].any()
 
 
 def test_streaming_causality_exact():
