@@ -318,8 +318,9 @@ def deconv_taps(y: np.ndarray, out: np.ndarray, stride_f: int) -> list:
     return pairs
 
 
-def conv2d_causal(x: Tensor, w: Tensor, b: Tensor, stride_f: int = 1) -> Tensor:
-    """Causal-in-time 2-D convolution over (channel, time, frequency) maps.
+def conv2d_causal(x: Tensor, w: Tensor, stride_f: int = 1) -> Tensor:
+    """Causal-in-time 2-D convolution over (channel, time, frequency) maps,
+    without bias: every conv of the model feeds batch-norm.
 
     Time is padded with k_t - 1 zero frames on the past side only, so output
     frame t never sees input frames > t. Frequency is padded symmetrically
@@ -335,8 +336,6 @@ def conv2d_causal(x: Tensor, w: Tensor, b: Tensor, stride_f: int = 1) -> Tensor:
     c_out, c_in_w, kt, kf = w.data.shape
     if c_in_w != c_in:
         raise ShapeError(f"conv channel mismatch: input {c_in}, weight expects {c_in_w}")
-    if b.data.shape != (c_out,):
-        raise ShapeError("conv bias shape mismatch")
     pad_t = kt - 1
     pad_f = (kf - 1) // 2
     f_out = (f + 2 * pad_f - kf) // stride_f + 1
@@ -359,12 +358,9 @@ def conv2d_causal(x: Tensor, w: Tensor, b: Tensor, stride_f: int = 1) -> Tensor:
     for a_ in range(1, kt):
         out += w_taps[a_] @ window(a_)
     out = out.reshape(c_out, t, f_out)
-    out += b.data[:, None, None]
 
     def bwd(g):
         g2 = g.reshape(c_out, n)
-        if b.requires_grad:
-            b._accumulate(g2.sum(axis=1))
         if w.requires_grad:
             dw = np.empty(w.data.shape)
             for a_ in range(kt):
@@ -386,17 +382,16 @@ def conv2d_causal(x: Tensor, w: Tensor, b: Tensor, stride_f: int = 1) -> Tensor:
                 dx[:, :, in_bins] += dcols[:, c_, :, out_bins]
             x._accumulate(dx, own=True)
 
-    return _make(out, (x, w, b), bwd)
+    return _make(out, (x, w), bwd)
 
 
-def conv2d_transpose(
-    x: Tensor, w: Tensor, b: Tensor, stride_f: int = 2, out_pad_f: int = 0
-) -> Tensor:
-    """Frequency-transposed convolution, kernel 1 x k_f (no temporal mixing).
+def conv2d_transpose(x: Tensor, w: Tensor, stride_f: int = 2) -> Tensor:
+    """Frequency-transposed convolution, kernel 1 x k_f (no temporal mixing),
+    without bias: a layer that needs one adds it after.
 
-    Output width is (f - 1) * stride_f - 2 + k_f + out_pad_f; the map is the
-    adjoint of conv2d_causal with k_t = 1 and the same frequency geometry.
-    The forward is one GEMM with the weight seen as a (c_out * k_f, c_in)
+    Output width is (f - 1) * stride_f - 2 * ((k_f - 1) // 2) + k_f; the map
+    is the adjoint of conv2d_causal with k_t = 1 and the same frequency
+    geometry. The forward is one GEMM with the weight seen as a (c_out * k_f, c_in)
     matrix, a view, then k_f strided adds; the backward is one GEMM for each
     input gradient.
     """
@@ -406,25 +401,17 @@ def conv2d_transpose(
         raise ShapeError("transposed conv kernel must have k_t == 1")
     if c_in_w != c_in:
         raise ShapeError(f"transposed conv channel mismatch: {c_in} vs {c_in_w}")
-    if out_pad_f not in (0, 1):
-        raise ShapeError("out_pad_f must be 0 or 1")
-    pad = (kf - 1) // 2
-    f_out = (f - 1) * stride_f - 2 * pad + kf + out_pad_f
+    f_out = (f - 1) * stride_f - 2 * ((kf - 1) // 2) + kf
 
     # (c_in, c_out, 1, k_f) -> (c_in, c_out * k_f), rows of the product in
     # (channel, tap) order
     wmat = w.data.reshape(c_in, c_out * kf)
     x2 = x.data.reshape(c_in, t * f)
-    out = np.empty((c_out, t, f_out))
-    out[:] = b.data[:, None, None]
+    out = np.zeros((c_out, t, f_out))
     for dst, src in deconv_taps((wmat.T @ x2).reshape(c_out, kf, t, f), out, stride_f):
         dst += src
 
     def bwd(g):
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=(1, 2)))
-        if not (x.requires_grad or w.requires_grad):
-            return
         g_taps = np.zeros((c_out, kf, t, f))
         for g_dst, tap in deconv_taps(g_taps, g, stride_f):
             tap[...] = g_dst
@@ -434,7 +421,7 @@ def conv2d_transpose(
         if w.requires_grad:
             w._accumulate((x2 @ g_taps.T).reshape(w.data.shape), own=True)
 
-    return _make(out, (x, w, b), bwd)
+    return _make(out, (x, w), bwd)
 
 
 def max_pool_freq(x: Tensor, k: int) -> Tensor:

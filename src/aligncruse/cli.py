@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, enhance, align, eval, bench, inspect. Every run
+Subcommands: gen-data, train, enhance, align, eval, inspect. Every run
 prints its resolved configuration and seed so results can be reproduced; a
 ``--config key=value`` file can mirror any flag. Exit codes: 0 ok, 1 usage,
 2 I/O, 3 numeric failure.
@@ -32,7 +32,7 @@ from .errors import (
     ContractViolationError,
     NumericsError,
 )
-from .evaluation import benchmark_runtime, delay_recovery_report
+from .evaluation import delay_recovery_report
 from .model import ModelConfig, StreamingEnhancer, enhance, init_params
 from .params_io import load_params, save_params
 from .train import LossConfig, OptimConfig, train_loop
@@ -97,10 +97,6 @@ def _build_parser() -> _Parser:
     v.add_argument("--manifest", required=True)
     v.add_argument("--report", required=True)
     v.add_argument("--system", choices=["model", "global", "online"], default="model")
-
-    b = sub.add_parser("bench")
-    b.add_argument("--model", required=True)
-    b.add_argument("--frames", type=int, default=10000)
 
     i = sub.add_parser("inspect")
     i.add_argument("--model", required=True)
@@ -285,20 +281,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    store, _ = load_params(args.model)
-    result = benchmark_runtime(store, n_frames=args.frames, seed=args.seed)
-    print(f"ms_per_frame={result['ms_per_frame']:.4f} "
-          f"real_time_factor={result['real_time_factor']:.4f} frames={result['n_frames']}")
-    return 0
-
-
 def _cmd_inspect(args) -> int:
     store, extra = load_params(args.model)
     cfg = store.cfg
     print(f"arch: {store.arch}")
     print(f"config: mic={cfg.mic_channels} far={cfg.far_channels} dec={cfg.dec_channels} "
-          f"p={cfg.align_proj} d_max={cfg.d_max} gru={cfg.gru_hidden} bins={cfg.n_bins}")
+          f"p={cfg.align_proj} d_max={cfg.d_max} gru={cfg.gru_hidden} bins={dsp.N_BINS}")
     for name, tensor in store.tensors.items():
         print(f"  {name:<18} {str(tuple(tensor.data.shape)):<16} {tensor.size}")
     total = store.param_count()
@@ -314,7 +302,6 @@ _COMMANDS = {
     "enhance": _cmd_enhance,
     "align": _cmd_align,
     "eval": _cmd_eval,
-    "bench": _cmd_bench,
     "inspect": _cmd_inspect,
 }
 

@@ -1,9 +1,9 @@
 """STFT front end shared by inference, training and the loss consistency pass.
 
 The frame geometry is fixed here and nowhere else: 16 kHz audio, 320-sample
-(20 ms) windows advanced by a 160-sample (10 ms) hop, 161 bins. Every
-checkpoint's input and mask layers are sized for 161 bins
-(``ModelConfig.n_bins``), so no other geometry can run a model.
+(20 ms) windows advanced by a 160-sample (10 ms) hop, 161 bins. The
+network's frequency chain starts at ``N_BINS`` (``model.ENC_FREQS``), so no
+other geometry can run a model.
 
 Conventions are fixed so test vectors are reproducible bit-for-bit:
 

@@ -1,5 +1,6 @@
-"""Objective evaluation: echo-suppression ERLE, delay-recovery scoring for
-both the model and the classical aligners, and streaming runtime benchmarks.
+"""Objective evaluation: echo-suppression ERLE and delay-recovery scoring for
+both the model and the classical aligners. Runtime is measured by
+``perfbench``, not here.
 
 AECMOS and human MOS columns are reported as N/A: they need an external
 neural scorer / crowd raters and are out of scope here.
@@ -8,7 +9,6 @@ neural scorer / crowd raters and are out of scope here.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,9 +16,9 @@ import numpy as np
 
 from . import dsp
 from .alignment import DEFAULT_MAX_DELAY, global_delay, online_delay
-from .dsp import HOP, SAMPLE_RATE, WIN, AudioClip
+from .dsp import HOP, AudioClip
 from .errors import ConfigurationError, ShapeError
-from .model import ParamStore, StreamingEnhancer, enhance
+from .model import ParamStore, enhance
 
 ERLE_EPS = 1e-12
 ERLE_MIN, ERLE_MAX = -20.0, 80.0
@@ -51,7 +51,6 @@ def confidence_interval(values) -> float:
 class EvalReport:
     system: str
     rows: list = field(default_factory=list)
-    runtime: dict = field(default_factory=dict)
     warnings: int = 0
 
     def add_row(self, **kw):
@@ -78,8 +77,7 @@ class EvalReport:
         with open(path, "w") as fh:
             for row in self.rows:
                 fh.write(json.dumps({"system": self.system, **row}) + "\n")
-            fh.write(json.dumps({"system": self.system, "aggregates": agg,
-                                 "runtime": self.runtime}) + "\n")
+            fh.write(json.dumps({"system": self.system, "aggregates": agg}) + "\n")
 
     def render_table(self) -> str:
         agg = self.aggregates()
@@ -99,9 +97,6 @@ class EvalReport:
             f"{'AECMOS':<24}{'N/A (out of scope)':>18}",
             f"{'MOS':<24}{'N/A (out of scope)':>18}",
         ]
-        if self.runtime:
-            lines.append(f"{'ms per frame':<24}{self.runtime.get('ms_per_frame', float('nan')):>18.3f}")
-            lines.append(f"{'real-time factor':<24}{self.runtime.get('real_time_factor', float('nan')):>18.3f}")
         return "\n".join(lines)
 
 
@@ -143,31 +138,3 @@ def delay_recovery_report(system: str, manifest_rows: list, base_dir,
         report.add_row(**entry)
     return report
 
-
-def benchmark_runtime(store: ParamStore, n_frames: int = 10000, warmup: int = 100,
-                      seed: int = 0) -> dict:
-    """Median time per 10 ms frame of the streaming engine, single stream,
-    plus the derived real-time factor.
-
-    Times are process CPU time, so time that a shared host takes away from
-    the process (steal) does not enter the median as the wall clock would.
-    """
-    rng = np.random.default_rng(seed)
-    eng = StreamingEnhancer(store)
-    # prime the framer so every push below completes exactly one frame
-    eng.push(rng.standard_normal(WIN - HOP) * 0.1, rng.standard_normal(WIN - HOP) * 0.1)
-    times = np.empty(n_frames)
-    chunks_mic = rng.standard_normal((warmup + n_frames, HOP)) * 0.1
-    chunks_far = rng.standard_normal((warmup + n_frames, HOP)) * 0.1
-    for i in range(warmup):
-        eng.push(chunks_mic[i], chunks_far[i])
-    for i in range(n_frames):
-        t0 = time.process_time()
-        eng.push(chunks_mic[warmup + i], chunks_far[warmup + i])
-        times[i] = time.process_time() - t0
-    ms = float(np.median(times) * 1e3)
-    return {
-        "ms_per_frame": ms,
-        "real_time_factor": ms / (1e3 * HOP / SAMPLE_RATE),
-        "n_frames": n_frames,
-    }

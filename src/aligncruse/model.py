@@ -19,15 +19,17 @@ The baseline variant ("cruse") is ``forward`` with the alignment block
 skipped: its far-end features must already be aligned, and its parameter
 count differs from the aligned model by exactly the alignment projections.
 
-Both paths take their frame geometry from ``dsp``: 10 ms hops of 20 ms
-windows, 161 bins, the only geometry a ``ModelConfig.n_bins`` of 161 fits.
+Both paths take their frame geometry from ``dsp`` (10 ms hops of 20 ms
+windows, 161 bins) and their network geometry from the constants below;
+``ModelConfig`` holds only the sizes. The convs that feed batch-norm carry no
+bias: the batch mean cancels it.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,8 +40,12 @@ from .dsp import HOP, N_BINS, WIN, AudioClip, SpectralFrames
 from .errors import ConfigurationError, ContractViolationError, ShapeError
 
 
-def _conv_out(f: int, kf: int, stride: int) -> int:
-    return (f + 2 * ((kf - 1) // 2) - kf) // stride + 1
+CONV_KERNEL = (4, 3)  # (time, frequency) taps of every encoder conv
+STRIDE_F = 2  # frequency stride of the encoder convs and the decoder's transposed convs
+DEC_KERNEL_F = 3  # frequency taps of the decoder's transposed convs
+ALIGN_POOL = 4  # frequency max-pool before the alignment projections
+CAUSAL_DECAY = 0.99  # per-frame decay of the streaming score accumulator
+ENC_FREQS = (N_BINS, 81, 41, 21, 11)  # frequency bins after each encoder stage
 
 
 @dataclass(frozen=True)
@@ -47,15 +53,9 @@ class ModelConfig:
     mic_channels: tuple = (16, 40, 72, 32)
     far_channels: tuple = (8, 24)
     dec_channels: tuple = (32, 48, 48)
-    conv_kernel: tuple = (4, 3)
-    conv_stride_f: int = 2
-    dec_kernel_f: int = 3
-    align_pool: int = 4
     align_proj: int = 16
     d_max: int = 100
     gru_channels: int = 28
-    n_bins: int = 161
-    causal_decay: float = 0.99
 
     def __post_init__(self):
         if self.d_max < 1 or self.align_proj < 1:
@@ -66,44 +66,25 @@ class ModelConfig:
             raise ConfigurationError("expected 4 mic, 2 far and 3 decoder conv blocks")
 
     @property
-    def enc_freqs(self) -> tuple:
-        """Frequency sizes after each encoder stage, starting at n_bins."""
-        sizes = [self.n_bins]
-        for _ in range(4):
-            sizes.append(_conv_out(sizes[-1], self.conv_kernel[1], self.conv_stride_f))
-        return tuple(sizes)
-
-    @property
     def bottleneck(self) -> int:
-        return self.mic_channels[-1] * self.enc_freqs[-1]
+        return self.mic_channels[-1] * ENC_FREQS[-1]
 
     @property
     def gru_hidden(self) -> int:
-        return self.gru_channels * self.enc_freqs[-1]
+        return self.gru_channels * ENC_FREQS[-1]
 
     @property
     def align_bins(self) -> int:
-        return self.enc_freqs[2] // self.align_pool
+        return ENC_FREQS[2] // ALIGN_POOL
 
     def scaled(self, factor: float) -> "ModelConfig":
-        """Channel-scaled variant (kernel geometry and bin count unchanged)."""
+        """Channel-scaled variant."""
         def sc(ch):
             return tuple(max(1, round(c * factor)) for c in ch)
 
-        return ModelConfig(
-            mic_channels=sc(self.mic_channels),
-            far_channels=sc(self.far_channels),
-            dec_channels=sc(self.dec_channels),
-            conv_kernel=self.conv_kernel,
-            conv_stride_f=self.conv_stride_f,
-            dec_kernel_f=self.dec_kernel_f,
-            align_pool=self.align_pool,
-            align_proj=self.align_proj,
-            d_max=self.d_max,
-            gru_channels=max(1, round(self.gru_channels * factor)),
-            n_bins=self.n_bins,
-            causal_decay=self.causal_decay,
-        )
+        return replace(self, mic_channels=sc(self.mic_channels), far_channels=sc(self.far_channels),
+                       dec_channels=sc(self.dec_channels),
+                       gru_channels=max(1, round(self.gru_channels * factor)))
 
     @classmethod
     def paper(cls) -> "ModelConfig":
@@ -112,15 +93,7 @@ class ModelConfig:
     @classmethod
     def tiny(cls) -> "ModelConfig":
         """Desk-scale preset: quarter channels, d_max 50, projection 16."""
-        cfg = cls().scaled(0.25)
-        return ModelConfig(
-            mic_channels=cfg.mic_channels,
-            far_channels=cfg.far_channels,
-            dec_channels=cfg.dec_channels,
-            align_proj=16,
-            d_max=50,
-            gru_channels=cfg.gru_channels,
-        )
+        return replace(cls().scaled(0.25), align_proj=16, d_max=50)
 
 
 @dataclass
@@ -167,16 +140,16 @@ def _enc_channel_plan(cfg: ModelConfig):
 
 
 def param_shapes(cfg: ModelConfig, arch: str = "align") -> OrderedDict:
-    """Name -> shape for every trainable tensor, in creation order."""
+    """Name -> shape for every trainable tensor, in creation order. The convs
+    of ``BN_LAYERS`` have no bias: batch-norm subtracts the mean, which
+    cancels it."""
     if arch not in ("align", "cruse"):
         raise ConfigurationError(f"arch must be 'align' or 'cruse', got {arch!r}")
-    kt, kf = cfg.conv_kernel
     shapes: OrderedDict[str, tuple] = OrderedDict()
     plan = _enc_channel_plan(cfg)
     for name in ENC_BLOCKS:
         c_in, c_out = plan[name]
-        shapes[f"{name}.w"] = (c_out, c_in, kt, kf)
-        shapes[f"{name}.b"] = (c_out,)
+        shapes[f"{name}.w"] = (c_out, c_in, *CONV_KERNEL)
         shapes[f"{name}.bn.gamma"] = (c_out,)
         shapes[f"{name}.bn.beta"] = (c_out,)
     if arch == "align":
@@ -195,13 +168,12 @@ def param_shapes(cfg: ModelConfig, arch: str = "align") -> OrderedDict:
     for i in range(3):
         shapes[f"skip{i + 1}.w"] = (dec_in[i], enc_skip[i])
         shapes[f"skip{i + 1}.b"] = (dec_in[i],)
-        shapes[f"dec{i + 1}.w"] = (dec_in[i], cfg.dec_channels[i], 1, cfg.dec_kernel_f)
-        shapes[f"dec{i + 1}.b"] = (cfg.dec_channels[i],)
+        shapes[f"dec{i + 1}.w"] = (dec_in[i], cfg.dec_channels[i], 1, DEC_KERNEL_F)
         shapes[f"dec{i + 1}.bn.gamma"] = (cfg.dec_channels[i],)
         shapes[f"dec{i + 1}.bn.beta"] = (cfg.dec_channels[i],)
     shapes["skip4.w"] = (cfg.dec_channels[2], enc_skip[3])
     shapes["skip4.b"] = (cfg.dec_channels[2],)
-    shapes["mask.w"] = (cfg.dec_channels[2], 1, 1, cfg.dec_kernel_f)
+    shapes["mask.w"] = (cfg.dec_channels[2], 1, 1, DEC_KERNEL_F)
     shapes["mask.b"] = (1,)
     shapes["mask.gain"] = (1,)
     return shapes
@@ -280,15 +252,14 @@ def param_count(cfg: ModelConfig, arch: str = "align") -> int:
 # -- graph building blocks -------------------------------------------------------
 
 def _conv_block(store: ParamStore, name: str, x: Tensor, mode: str) -> Tensor:
-    h = ad.conv2d_causal(x, store[f"{name}.w"], store[f"{name}.b"], stride_f=store.cfg.conv_stride_f)
+    h = ad.conv2d_causal(x, store[f"{name}.w"], stride_f=STRIDE_F)
     h = ad.batch_norm(h, store[f"{name}.bn.gamma"], store[f"{name}.bn.beta"],
                       store.bn_stats[name], mode)
     return ad.elu(h)
 
 
-def _deconv_block(store: ParamStore, name: str, x: Tensor, mode: str, out_pad: int) -> Tensor:
-    h = ad.conv2d_transpose(x, store[f"{name}.w"], store[f"{name}.b"],
-                            stride_f=store.cfg.conv_stride_f, out_pad_f=out_pad)
+def _deconv_block(store: ParamStore, name: str, x: Tensor, mode: str) -> Tensor:
+    h = ad.conv2d_transpose(x, store[f"{name}.w"], stride_f=STRIDE_F)
     h = ad.batch_norm(h, store[f"{name}.bn.gamma"], store[f"{name}.bn.beta"],
                       store.bn_stats[name], mode)
     return ad.elu(h)
@@ -331,8 +302,8 @@ def align_block(x_mic: Tensor, x_far: Tensor, store: ParamStore,
     if mode == "causal":
         aligned, dist = _align_causal_np(x_mic.data, x_far.data, store)
         return Tensor(aligned), dist
-    pm = ad.max_pool_freq(x_mic, cfg.align_pool)
-    pf = ad.max_pool_freq(x_far, cfg.align_pool)
+    pm = ad.max_pool_freq(x_mic, ALIGN_POOL)
+    pf = ad.max_pool_freq(x_far, ALIGN_POOL)
     q = ad.add(ad.matmul(_flatten_cf(pm), store["align.wq"]), store["align.bq"])
     k = ad.add(ad.matmul(_flatten_cf(pf), store["align.wk"]), store["align.bk"])
     scores = ad.delay_scores(q, k, cfg.d_max)
@@ -394,12 +365,12 @@ class AlignState:
         Returns the aligned far features, shaped as ``far``, and the delay
         distributions, (t, d_max) or (d_max,) for one frame."""
         cfg = self.cfg
-        d, decay = cfg.d_max, cfg.causal_decay
+        d, decay = cfg.d_max, CAUSAL_DECAY
         c_far, f = far.shape[0], far.shape[-1]
         far3 = far.reshape(c_far, -1, f)
         t = far3.shape[1]
-        q = _pooled_flat(mic.reshape(mic.shape[0], t, -1), cfg.align_pool) @ wq + bq
-        k = _pooled_flat(far3, cfg.align_pool) @ wk + bk
+        q = _pooled_flat(mic.reshape(mic.shape[0], t, -1), ALIGN_POOL) @ wq + bq
+        k = _pooled_flat(far3, ALIGN_POOL) @ wk + bk
         k_ring, far_ring, far_flat, slot_of = self.k_ring, self.far_ring, self._far_flat, self._slot_of
         scores, pos = self.scores, self.pos
         aligned = np.empty((t, c_far * f))
@@ -425,19 +396,15 @@ DEC_STAGE_NAMES = ("dec1", "dec2", "dec3")
 
 
 def _decoder(store: ParamStore, skips: list[Tensor], bottleneck_out: Tensor, mode: str) -> Tensor:
-    cfg = store.cfg
-    freqs = cfg.enc_freqs  # (161, 81, 41, 21, 11)
+    """Each transposed conv takes 2f - 1 bins from f, so the decoder walks
+    ``ENC_FREQS`` back up: 11 -> 21 -> 41 -> 81 -> 161."""
     x = bottleneck_out
     for i, name in enumerate(DEC_STAGE_NAMES):
         x = skip_block(skips[3 - i], x, store[f"skip{i + 1}.w"], store[f"skip{i + 1}.b"])
-        target = freqs[3 - i]
-        cur = x.data.shape[2]
-        out_pad = target - ((cur - 1) * cfg.conv_stride_f - 2 + cfg.dec_kernel_f)
-        x = _deconv_block(store, name, x, mode, out_pad)
+        x = _deconv_block(store, name, x, mode)
     x = skip_block(skips[0], x, store["skip4.w"], store["skip4.b"])
-    out_pad = cfg.n_bins - ((x.data.shape[2] - 1) * cfg.conv_stride_f - 2 + cfg.dec_kernel_f)
-    pre = ad.conv2d_transpose(x, store["mask.w"], store["mask.b"],
-                              stride_f=cfg.conv_stride_f, out_pad_f=out_pad)
+    pre = ad.conv2d_transpose(x, store["mask.w"], stride_f=STRIDE_F)
+    pre = ad.add(pre, ad.reshape(store["mask.b"], (1, 1, 1)))
     return ad.mul(ad.sigmoid(pre), store["mask.gain"])
 
 
@@ -455,8 +422,8 @@ def forward(store: ParamStore, mic_feat, far_feat, mode: str = "infer",
     far_feat = far_feat if isinstance(far_feat, Tensor) else Tensor(far_feat)
     if mic_feat.data.shape != far_feat.data.shape:
         raise ShapeError("mic and far feature shapes must match")
-    if mic_feat.data.shape[0] != 1 or mic_feat.data.shape[2] != cfg.n_bins:
-        raise ShapeError(f"expected (1, t, {cfg.n_bins}) features")
+    if mic_feat.data.shape[0] != 1 or mic_feat.data.shape[2] != N_BINS:
+        raise ShapeError(f"expected (1, t, {N_BINS}) features")
 
     m1 = _conv_block(store, "mic1", mic_feat, mode)
     m2 = _conv_block(store, "mic2", m1, mode)
@@ -471,7 +438,7 @@ def forward(store: ParamStore, mic_feat, far_feat, mode: str = "infer",
     e4 = _conv_block(store, "enc4", e3, mode)
     h0 = Tensor(np.zeros(cfg.gru_hidden))
     h = ad.gru_seq(_flatten_cf(e4), h0, store["gru.wih"], store["gru.whh"], store["gru.b"])
-    u = _unflatten_cf(h, cfg.gru_channels, cfg.enc_freqs[-1])
+    u = _unflatten_cf(h, cfg.gru_channels, ENC_FREQS[-1])
     return _decoder(store, [m1, m2, e3, e4], u, mode), dist
 
 
@@ -541,14 +508,14 @@ def enhance(mic: AudioClip, far: AudioClip, store: ParamStore, mode: str = "utte
 
 # -- streaming engine ----------------------------------------------------------------
 
-def _bn_affine(store: ParamStore, name: str, bias: np.ndarray):
-    """Frozen batch-norm after a biased layer as one per-channel affine:
-    ``bn(y + bias) == y * scale + shift`` (Jacob et al. 2018, arXiv:1712.05877).
-    It equals ``autodiff.batch_norm`` in inference mode up to rounding.
+def _bn_affine(store: ParamStore, name: str):
+    """Frozen batch-norm as one per-channel affine: ``bn(y) == y * scale +
+    shift`` (Jacob et al. 2018, arXiv:1712.05877). It equals
+    ``autodiff.batch_norm`` in inference mode up to rounding.
     """
     stats = store.bn_stats[name]
     scale = store[f"{name}.bn.gamma"].data / np.sqrt(stats.var + ad.BN_EPS)
-    shift = store[f"{name}.bn.beta"].data + (bias - stats.mean) * scale
+    shift = store[f"{name}.bn.beta"].data - stats.mean * scale
     return scale[:, None], shift[:, None]
 
 
@@ -582,15 +549,14 @@ class _EncoderBlock(_Blocked):
     block's im2col. The history buffer holds the last k_t - 1 zero-padded
     input frames, carried from block to block, then the block's frames."""
 
-    def __init__(self, store: ParamStore, name: str, f: int):
+    def __init__(self, store: ParamStore, name: str, stage: int):
         super().__init__()
         w = store[f"{name}.w"].data
         self._c_out, self._c_in, self._kt, self._kf = w.shape
         self._w = w.reshape(self._c_out, -1)
-        self._scale, self._shift = _bn_affine(store, name, store[f"{name}.b"].data)
-        self._f, self._stride = f, store.cfg.conv_stride_f
+        self._scale, self._shift = _bn_affine(store, name)
+        self._f, self._f_out, self._stride = ENC_FREQS[stage], ENC_FREQS[stage + 1], STRIDE_F
         self._pad = (self._kf - 1) // 2
-        self._f_out = _conv_out(f, self._kf, self._stride)
         self._hist = None
 
     def _alloc(self, cap: int):
@@ -640,23 +606,23 @@ class _EncoderBlock(_Blocked):
 class _DecoderBlock(_Blocked):
     """Skip connection plus one frequency-transposed conv stage over a block
     of frames: the skip GEMM, then one GEMM of the transposed-conv weight (a
-    view) and k_f strided adds. With ``bn`` the stage ends in batch-norm and
-    ELU (dec1..dec3); without it the output is the pre-sigmoid mask."""
+    view) and k_f strided adds, from ``ENC_FREQS[stage + 1]`` bins to
+    ``ENC_FREQS[stage]``. dec1..dec3 end in batch-norm and ELU; the "mask"
+    stage adds its bias and gives the pre-sigmoid mask."""
 
-    def __init__(self, store: ParamStore, skip: str, name: str, f_in: int, f_out: int, bn: bool):
+    def __init__(self, store: ParamStore, skip: str, name: str, stage: int):
         super().__init__()
         w = store[f"{name}.w"].data
         self._c_in, self._c_out, _, self._kf = w.shape
         self._w = w.reshape(self._c_in, -1).T
         self._skip_w = store[f"{skip}.w"].data
         self._skip_b = store[f"{skip}.b"].data[:, None]
-        b = store[f"{name}.b"].data
-        if bn:
-            self._scale, self._shift = _bn_affine(store, name, b)
+        self._elu = name != "mask"
+        if self._elu:
+            self._scale, self._shift = _bn_affine(store, name)
         else:
-            self._scale, self._shift = np.ones((self._c_out, 1)), b[:, None]
-        self._elu = bn
-        self._f_in, self._f_out, self._stride = f_in, f_out, store.cfg.conv_stride_f
+            self._scale, self._shift = np.ones((self._c_out, 1)), store["mask.b"].data[:, None]
+        self._f_in, self._f_out, self._stride = ENC_FREQS[stage + 1], ENC_FREQS[stage], STRIDE_F
 
     def _alloc(self, cap: int):
         n_out = self._c_out * cap * self._f_out
@@ -728,14 +694,11 @@ class StreamingEnhancer:
         self.cfg = cfg = store.cfg
         self.force_identity_mask = force_identity_mask
         self.sanitized_samples = 0
-        freqs = cfg.enc_freqs
-        in_freq = {"mic1": freqs[0], "mic2": freqs[1], "far1": freqs[0],
-                   "far2": freqs[1], "enc3": freqs[2], "enc4": freqs[3]}
-        self._enc = [_EncoderBlock(store, n, in_freq[n]) for n in ENC_BLOCKS]
-        self._dec = [_DecoderBlock(store, f"skip{i + 1}", name, freqs[4 - i], freqs[3 - i], bn=True)
-                     for i, name in enumerate(DEC_STAGE_NAMES)]
-        self._dec.append(_DecoderBlock(store, "skip4", "mask", freqs[1], cfg.n_bins, bn=False))
-        self._align = AlignState(cfg, cfg.far_channels[1], freqs[2])
+        stage = {"mic1": 0, "mic2": 1, "far1": 0, "far2": 1, "enc3": 2, "enc4": 3}
+        self._enc = [_EncoderBlock(store, n, stage[n]) for n in ENC_BLOCKS]
+        self._dec = [_DecoderBlock(store, f"skip{i + 1}", name, 3 - i)
+                     for i, name in enumerate(DEC_STAGE_NAMES + ("mask",))]
+        self._align = AlignState(cfg, cfg.far_channels[1], ENC_FREQS[2])
         self._align_w = tuple(store[n].data for n in ALIGN_WEIGHTS)
         self._gru_w = tuple(store[n].data for n in ("gru.wih", "gru.whh", "gru.b"))
         self._h = np.zeros(cfg.gru_hidden)

@@ -3,12 +3,18 @@
 Layout: magic ``ACRS``, u32 LE format version, u32 LE record count, then per
 record: u32 name length, UTF-8 name, u32 dtype code (0 = f32, 1 = f64),
 u32 rank, u32 dims, raw little-endian IEEE-754 payload. The first record is
-a numeric echo of the model configuration so shapes are validated on load.
+a numeric echo of the model configuration so shapes are validated on load:
+arch code, then each channel list as its length and its values, then
+``align_proj``, ``d_max`` and ``gru_channels``.
+
+Version 2 dropped the six geometry values from the configuration echo and
+the conv biases that feed batch-norm; version-1 files are rejected.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from collections import OrderedDict
 
@@ -19,7 +25,7 @@ from .errors import ConfigurationError, ShapeError
 from .model import BN_LAYERS, ModelConfig, ParamStore, param_shapes
 
 MAGIC = b"ACRS"
-VERSION = 1
+VERSION = 2
 CONFIG_RECORD = "__config__"
 _ARCH_CODES = {"align": 0.0, "cruse": 1.0}
 _ARCH_NAMES = {0.0: "align", 1.0: "cruse"}
@@ -31,33 +37,31 @@ def _config_vector(cfg: ModelConfig, arch: str) -> np.ndarray:
         len(cfg.mic_channels), *cfg.mic_channels,
         len(cfg.far_channels), *cfg.far_channels,
         len(cfg.dec_channels), *cfg.dec_channels,
-        *cfg.conv_kernel, cfg.conv_stride_f, cfg.dec_kernel_f,
-        cfg.align_pool, cfg.align_proj, cfg.d_max, cfg.gru_channels,
-        cfg.n_bins, cfg.causal_decay,
+        cfg.align_proj, cfg.d_max, cfg.gru_channels,
     ]
     return np.asarray(vec, dtype=np.float64)
 
 
-def _config_from_vector(vec: np.ndarray) -> tuple[ModelConfig, str]:
-    it = iter(vec.tolist())
-    arch = _ARCH_NAMES.get(next(it))
+def _config_from_vector(vec: np.ndarray, path) -> tuple[ModelConfig, str]:
+    it = iter(vec.reshape(-1).tolist())
+    arch = _ARCH_NAMES.get(next(it, None))
     if arch is None:
-        raise ConfigurationError("unknown architecture code in parameter file")
+        raise ConfigurationError(f"{path}: unknown architecture code in parameter file")
 
-    def take(n):
-        return tuple(int(next(it)) for _ in range(n))
+    def take(n):  # a list, not a generator, so StopIteration reaches the caller
+        return tuple([int(next(it)) for _ in range(n)])
 
-    mic = take(int(next(it)))
-    far = take(int(next(it)))
-    dec = take(int(next(it)))
-    kt, kf, stride, dec_kf, pool, proj, d_max, gru_ch, n_bins = take(9)
-    decay = float(next(it))
-    cfg = ModelConfig(
-        mic_channels=mic, far_channels=far, dec_channels=dec,
-        conv_kernel=(kt, kf), conv_stride_f=stride, dec_kernel_f=dec_kf,
-        align_pool=pool, align_proj=proj, d_max=d_max, gru_channels=gru_ch,
-        n_bins=n_bins, causal_decay=decay,
-    )
+    try:
+        mic = take(int(next(it)))
+        far = take(int(next(it)))
+        dec = take(int(next(it)))
+        proj, d_max, gru_ch = take(3)
+    except StopIteration:
+        raise ConfigurationError(f"{path}: configuration record is too short") from None
+    if next(it, None) is not None:
+        raise ConfigurationError(f"{path}: configuration record is too long")
+    cfg = ModelConfig(mic_channels=mic, far_channels=far, dec_channels=dec,
+                      align_proj=proj, d_max=d_max, gru_channels=gru_ch)
     return cfg, arch
 
 
@@ -87,14 +91,16 @@ def _unpack(fh, fmt: str, path) -> tuple:
 
 
 def read_records(path) -> OrderedDict:
-    """Reads every record. Each payload is read straight into its array, so
-    an f64 payload is copied once, from the file into the array."""
+    """Reads every record. The f64 payloads are read straight into one array
+    as large as the file, each record a view of it: a load makes one large
+    allocation, and copies each payload once, from the file into the array."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ConfigurationError(f"{path}: not a parameter file (bad magic)")
         version, count = _unpack(fh, "<II", path)
         if version != VERSION:
             raise ConfigurationError(f"{path}: unsupported format version {version}")
+        arena, used = np.empty(os.fstat(fh.fileno()).st_size // 8, dtype="<f8"), 0
         records: OrderedDict[str, np.ndarray] = OrderedDict()
         for _ in range(count):
             (name_len,) = _unpack(fh, "<I", path)
@@ -104,7 +110,12 @@ def read_records(path) -> OrderedDict:
                 raise ConfigurationError(f"{path}: unknown dtype code {code}")
             shape = _unpack(fh, f"<{rank}I", path)
             n = math.prod(shape)
-            data = np.empty(n, dtype="<f4" if code == 0 else "<f8")
+            if code == 0:
+                data = np.empty(n, dtype="<f4")
+            elif used + n <= arena.size:
+                data, used = arena[used : used + n], used + n
+            else:
+                raise ConfigurationError(f"{path}: record {name!r} is truncated")
             got = fh.readinto(data)
             if got != data.nbytes:
                 raise ConfigurationError(
@@ -134,7 +145,7 @@ def load_params(path) -> tuple[ParamStore, dict]:
     records = read_records(path)
     if CONFIG_RECORD not in records:
         raise ConfigurationError(f"{path}: missing configuration record")
-    cfg, arch = _config_from_vector(records.pop(CONFIG_RECORD))
+    cfg, arch = _config_from_vector(records.pop(CONFIG_RECORD), path)
     expected = param_shapes(cfg, arch)
     store = ParamStore(cfg, arch)
     for name, shape in expected.items():

@@ -210,8 +210,9 @@ def train_loop(provider, store: ParamStore, optim_cfg: OptimConfig,
     (deterministic in epoch, so runs are reproducible and resumable).
 
     Writes one checkpoint per epoch plus an append-only metrics log when
-    ``out_dir`` is given. Aborts on sustained divergence (loss above 10x the
-    first epoch's for 3 consecutive epochs).
+    ``out_dir`` is given. ``resume_from`` must be a checkpoint of the same
+    architecture and configuration as ``store``. Aborts on sustained
+    divergence (loss above 10x the first epoch's for 3 consecutive epochs).
     """
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
@@ -222,6 +223,9 @@ def train_loop(provider, store: ParamStore, optim_cfg: OptimConfig,
     history: list[dict] = []
     if resume_from is not None:
         loaded, extra = load_params(resume_from)
+        if (loaded.cfg, loaded.arch) != (store.cfg, store.arch):
+            raise ConfigurationError(f"{resume_from}: checkpoint is for {loaded.arch} {loaded.cfg}, "
+                                     f"not the {store.arch} {store.cfg} being trained")
         store.tensors = loaded.tensors
         store.bn_stats = loaded.bn_stats
         state = AdamState.from_records(extra)

@@ -24,6 +24,7 @@ from aligncruse.autodiff import (
     max_pool_freq,
     mul,
     no_grad,
+    reshape,
     sigmoid,
     softmax_lastdim,
     stft_graph,
@@ -39,7 +40,7 @@ from aligncruse.train import LossConfig, clip_loss
 RNG = np.random.default_rng(1234)
 
 
-def conv_oracle(x, w, b, stride_f):
+def conv_oracle(x, w, stride_f):
     """Direct 6-loop causal convolution; the reference the fast path must match."""
     c_in, t, f = x.shape
     c_out, _, kt, kf = w.shape
@@ -54,7 +55,6 @@ def conv_oracle(x, w, b, stride_f):
                     for a in range(kt):
                         for c in range(kf):
                             out[o, tau, phi] += w[o, i, a, c] * xp[i, tau + a, phi * stride_f + c]
-        out[o] += b[o]
     return out
 
 
@@ -74,14 +74,14 @@ def _assert_close(got, want, tol=1e-12):
 # Loop references: the per-tap and per-lag kernels that the GEMM and banded
 # ops replaced, each returning the output and the gradients of <out, g>.
 
-def _conv_ref(x, w, b, stride_f, g):
+def _conv_ref(x, w, stride_f, g):
     c_in, t, f = x.shape
     c_out, _, kt, kf = w.shape
     pad_f = (kf - 1) // 2
     xp = np.pad(x, ((0, 0), (kt - 1, 0), (pad_f, pad_f)))
     f_out = (f + 2 * pad_f - kf) // stride_f + 1
     span = stride_f * (f_out - 1) + 1
-    out = np.zeros((c_out, t, f_out)) + b[:, None, None]
+    out = np.zeros((c_out, t, f_out))
     dxp, dw = np.zeros_like(xp), np.zeros_like(w)
     for a in range(kt):
         for c in range(kf):
@@ -89,14 +89,14 @@ def _conv_ref(x, w, b, stride_f, g):
             out += np.tensordot(w[:, :, a, c], xs, axes=([1], [0]))
             dw[:, :, a, c] = np.tensordot(g, xs, axes=([1, 2], [1, 2]))
             dxp[:, a : a + t, c : c + span : stride_f] += np.tensordot(w[:, :, a, c], g, axes=([0], [0]))
-    return out, [dxp[:, kt - 1 :, pad_f : pad_f + f], dw, g.sum(axis=(1, 2))]
+    return out, [dxp[:, kt - 1 :, pad_f : pad_f + f], dw]
 
 
-def _conv_transpose_ref(x, w, b, stride_f, out_pad_f, g):
+def _conv_transpose_ref(x, w, stride_f, g):
     c_in, t, f = x.shape
     _, c_out, _, kf = w.shape
     pad = (kf - 1) // 2
-    f_out = (f - 1) * stride_f - 2 * pad + kf + out_pad_f
+    f_out = (f - 1) * stride_f - 2 * pad + kf
     width = (f - 1) * stride_f + kf
     span = stride_f * (f - 1) + 1
     full = np.zeros((c_out, t, width))
@@ -108,7 +108,7 @@ def _conv_transpose_ref(x, w, b, stride_f, out_pad_f, g):
         gs = gfull[:, :, c : c + span : stride_f]
         dx += np.tensordot(w[:, :, 0, c], gs, axes=([1], [0]))
         dw[:, :, 0, c] = np.tensordot(x, gs, axes=([1, 2], [1, 2]))
-    return full[:, :, pad : pad + f_out] + b[:, None, None], [dx, dw, g.sum(axis=(1, 2))]
+    return full[:, :, pad : pad + f_out], [dx, dw]
 
 
 def _elu_ref(x, g):
@@ -349,7 +349,7 @@ def test_conv_identity_kernel_passthrough():
     x = RNG.standard_normal((1, 6, 9))
     w = np.zeros((1, 1, 4, 3))
     w[0, 0, 3, 1] = 1.0  # current frame, center bin
-    out = conv2d_causal(Tensor(x), Tensor(w), Tensor(np.zeros(1)), stride_f=1)
+    out = conv2d_causal(Tensor(x), Tensor(w), stride_f=1)
     np.testing.assert_allclose(out.data, x, atol=1e-15)
 
 
@@ -360,10 +360,9 @@ def test_conv_size_chain_161_to_11():
         assert f == expect
     x = Tensor(RNG.standard_normal((1, 3, 161)))
     w = Tensor(RNG.standard_normal((2, 1, 4, 3)) * 0.1)
-    out = conv2d_causal(x, w, Tensor(np.zeros(2)), stride_f=2)
+    out = conv2d_causal(x, w, stride_f=2)
     assert out.data.shape == (2, 3, 81)
-    out2 = conv2d_causal(out, Tensor(RNG.standard_normal((3, 2, 4, 3)) * 0.1),
-                         Tensor(np.zeros(3)), stride_f=2)
+    out2 = conv2d_causal(out, Tensor(RNG.standard_normal((3, 2, 4, 3)) * 0.1), stride_f=2)
     assert out2.data.shape == (3, 3, 41)
 
 
@@ -371,26 +370,23 @@ def test_conv_size_chain_161_to_11():
 def test_conv_matches_bruteforce_oracle(stride_f):
     x = RNG.standard_normal((3, 5, 11))
     w = RNG.standard_normal((4, 3, 4, 3))
-    b = RNG.standard_normal(4)
-    out = conv2d_causal(Tensor(x), Tensor(w), Tensor(b), stride_f=stride_f)
-    np.testing.assert_allclose(out.data, conv_oracle(x, w, b, stride_f), atol=1e-12)
+    out = conv2d_causal(Tensor(x), Tensor(w), stride_f=stride_f)
+    np.testing.assert_allclose(out.data, conv_oracle(x, w, stride_f), atol=1e-12)
 
 
 def test_conv_channel_mismatch():
     with pytest.raises(ShapeError):
-        conv2d_causal(Tensor(np.zeros((2, 4, 8))), Tensor(np.zeros((1, 3, 4, 3))),
-                      Tensor(np.zeros(1)))
+        conv2d_causal(Tensor(np.zeros((2, 4, 8))), Tensor(np.zeros((1, 3, 4, 3))))
 
 
 def test_conv_causality_exact():
     x = RNG.standard_normal((2, 8, 9))
     w = RNG.standard_normal((2, 2, 4, 3))
-    b = RNG.standard_normal(2)
-    full = conv2d_causal(Tensor(x), Tensor(w), Tensor(b)).data
+    full = conv2d_causal(Tensor(x), Tensor(w)).data
     for cut in range(1, 8):
         zeroed = x.copy()
         zeroed[:, cut:, :] = 0.0
-        part = conv2d_causal(Tensor(zeroed), Tensor(w), Tensor(b)).data
+        part = conv2d_causal(Tensor(zeroed), Tensor(w)).data
         assert np.array_equal(full[:, :cut, :], part[:, :cut, :])
 
 
@@ -400,11 +396,10 @@ def test_conv_causality_exact():
 def test_conv_matches_loop_reference(stride_f, c_in, t):
     x = RNG.standard_normal((c_in, t, 11))
     w = RNG.standard_normal((4, c_in, 4, 3))
-    b = RNG.standard_normal(4)
     f_out = (11 + 2 - 3) // stride_f + 1
     g = RNG.standard_normal((4, t, f_out))
-    out, grads = _run(lambda *a: conv2d_causal(*a, stride_f=stride_f), [x, w, b], g)
-    ref_out, ref_grads = _conv_ref(x, w, b, stride_f, g)
+    out, grads = _run(lambda *a: conv2d_causal(*a, stride_f=stride_f), [x, w], g)
+    ref_out, ref_grads = _conv_ref(x, w, stride_f, g)
     _assert_close(out, ref_out)
     for got, want in zip(grads, ref_grads):
         _assert_close(got, want)
@@ -418,7 +413,7 @@ def test_transpose_size_chain():
     expected = [21, 41, 81]
     for exp in expected:
         w = Tensor(RNG.standard_normal((x.data.shape[0], 2, 1, 3)) * 0.1)
-        x = conv2d_transpose(x, w, Tensor(np.zeros(2)), stride_f=2, out_pad_f=0)
+        x = conv2d_transpose(x, w, stride_f=2)
         f = (f - 1) * 2 - 2 + 3
         assert f == exp
         assert x.data.shape == (2, 3, exp)
@@ -426,8 +421,7 @@ def test_transpose_size_chain():
 
 def test_transpose_zeros():
     out = conv2d_transpose(Tensor(np.zeros((2, 3, 11))),
-                           Tensor(RNG.standard_normal((2, 4, 1, 3))),
-                           Tensor(np.zeros(4)), stride_f=2)
+                           Tensor(RNG.standard_normal((2, 4, 1, 3))), stride_f=2)
     assert np.all(out.data == 0)
 
 
@@ -438,26 +432,22 @@ def test_conv_transpose_adjointness():
     x = RNG.standard_normal((c_in, t, f))
     f_out = (f + 2 - 3) // 2 + 1
     y = RNG.standard_normal((c_out, t, f_out))
-    cx = conv2d_causal(Tensor(x), Tensor(w), Tensor(np.zeros(c_out)), stride_f=2).data
+    cx = conv2d_causal(Tensor(x), Tensor(w), stride_f=2).data
     # transpose weight layout is (c_in_tr, c_out_tr, 1, kf) with c_in_tr = c_out
-    ty = conv2d_transpose(Tensor(y), Tensor(w), Tensor(np.zeros(c_in)),
-                          stride_f=2, out_pad_f=0).data
+    ty = conv2d_transpose(Tensor(y), Tensor(w), stride_f=2).data
     assert ty.shape == x.shape
     assert abs(np.sum(cx * y) - np.sum(x * ty)) < 1e-10
 
 
 @pytest.mark.parametrize("stride_f", [1, 2])
 @pytest.mark.parametrize("c_in", [1, 3])
-@pytest.mark.parametrize("out_pad_f", [0, 1])
-def test_conv_transpose_matches_loop_reference(stride_f, c_in, out_pad_f):
+def test_conv_transpose_matches_loop_reference(stride_f, c_in):
     x = RNG.standard_normal((c_in, 5, 6))
     w = RNG.standard_normal((c_in, 4, 1, 3))
-    b = RNG.standard_normal(4)
-    f_out = (6 - 1) * stride_f - 2 + 3 + out_pad_f
+    f_out = (6 - 1) * stride_f - 2 + 3
     g = RNG.standard_normal((4, 5, f_out))
-    op = lambda *a: conv2d_transpose(*a, stride_f=stride_f, out_pad_f=out_pad_f)  # noqa: E731
-    out, grads = _run(op, [x, w, b], g)
-    ref_out, ref_grads = _conv_transpose_ref(x, w, b, stride_f, out_pad_f, g)
+    out, grads = _run(lambda *a: conv2d_transpose(*a, stride_f=stride_f), [x, w], g)
+    ref_out, ref_grads = _conv_transpose_ref(x, w, stride_f, g)
     _assert_close(out, ref_out)
     for got, want in zip(grads, ref_grads):
         _assert_close(got, want)
@@ -698,17 +688,14 @@ def test_gradcheck_elementwise_ops():
 def test_gradcheck_conv2d_causal():
     x = RNG.standard_normal((2, 4, 9))
     w = RNG.standard_normal((3, 2, 4, 3)) * 0.5
-    b = RNG.standard_normal(3)
-    err = grad_check(lambda a, ww, bb: conv2d_causal(a, ww, bb, stride_f=2), [x, w, b])
+    err = grad_check(lambda a, ww: conv2d_causal(a, ww, stride_f=2), [x, w])
     assert err < 1e-4
 
 
 def test_gradcheck_conv2d_transpose():
     x = RNG.standard_normal((3, 3, 6))
     w = RNG.standard_normal((3, 2, 1, 3)) * 0.5
-    b = RNG.standard_normal(2)
-    err = grad_check(lambda a, ww, bb: conv2d_transpose(a, ww, bb, stride_f=2, out_pad_f=1),
-                     [x, w, b])
+    err = grad_check(lambda a, ww: conv2d_transpose(a, ww, stride_f=2), [x, w])
     assert err < 1e-4
 
 
@@ -776,22 +763,21 @@ def test_gradcheck_ccmse():
 
 
 def test_gradcheck_composed_stack():
-    # conv -> bn(train) -> elu -> pool -> transpose-conv, all in one graph
+    # conv -> bn(train) -> elu -> transpose-conv -> bias, all in one graph,
+    # as the model's encoder blocks and mask layer
     x = RNG.standard_normal((1, 3, 9))
     w1 = RNG.standard_normal((2, 1, 4, 3)) * 0.5
-    b1 = RNG.standard_normal(2)
     g1 = np.array([1.1, 0.9])
     be1 = np.array([0.1, -0.2])
     w2 = RNG.standard_normal((2, 1, 1, 3)) * 0.5
     b2 = RNG.standard_normal(1)
 
-    def stack(xx, ww1, bb1, gg1, bbe1, ww2, bb2):
-        h = conv2d_causal(xx, ww1, bb1, stride_f=2)
+    def stack(xx, ww1, gg1, bbe1, ww2, bb2):
+        h = conv2d_causal(xx, ww1, stride_f=2)
         h = elu(batch_norm(h, gg1, bbe1, None, "train"))
-        h = conv2d_transpose(h, ww2, bb2, stride_f=2, out_pad_f=0)
-        return h
+        return add(conv2d_transpose(h, ww2, stride_f=2), reshape(bb2, (1, 1, 1)))
 
-    err = grad_check(stack, [x, w1, b1, g1, be1, w2, b2])
+    err = grad_check(stack, [x, w1, g1, be1, w2, b2])
     assert err < 1e-4
 
 

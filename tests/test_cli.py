@@ -46,6 +46,7 @@ def test_inspect_prints_param_count(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "0.74M" in out or "0.73M" in out or "0.75M" in out
     assert "gru.whh" in out
+    assert "bins=161" in out
 
 
 def test_enhance_identity_mask_round_trip(tmp_path, tiny_ckpt, wav_pair, capsys):
@@ -142,12 +143,6 @@ def test_eval_classical(tmp_path, capsys):
     assert rpt.exists()
 
 
-def test_bench_runs(tiny_ckpt, capsys):
-    code = main(["bench", "--model", str(tiny_ckpt), "--frames", "50"])
-    assert code == 0
-    assert "real_time_factor" in capsys.readouterr().out
-
-
 def test_train_online_smoke(tmp_path, capsys):
     out = tmp_path / "m.acrs"
     code = main(["--seed", "3", "train", "--online", "--preset", "tiny",
@@ -185,4 +180,4 @@ def test_config_file_defaults(tmp_path, wav_pair, capsys):
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("bogus-flag=1\n")
-    assert main(["--config", str(cfg), "bench", "--model", "x"]) == 1
+    assert main(["--config", str(cfg), "inspect", "--model", "x"]) == 1

@@ -10,7 +10,6 @@ from aligncruse.errors import ConfigurationError, ShapeError
 from aligncruse.evaluation import (
     EvalReport,
     align_success,
-    benchmark_runtime,
     confidence_interval,
     delay_recovery_report,
     erle,
@@ -134,20 +133,3 @@ def test_delay_recovery_model_rejects_cruse_store(tmp_path):
     with pytest.raises(ConfigurationError):
         delay_recovery_report("model", rows, tmp_path, store=store)
 
-
-def test_benchmark_runtime_tiny():
-    store = init_params(ModelConfig.tiny(), seed=1)
-    out = benchmark_runtime(store, n_frames=300, warmup=20)
-    assert out["ms_per_frame"] > 0
-    assert out["real_time_factor"] == pytest.approx(out["ms_per_frame"] / 10.0)
-
-
-def test_benchmark_monotone_in_model_size():
-    # the two engines take turns over 5 rounds, so a slow spell of a shared
-    # host lands on both; the medians over the rounds are compared
-    tiny = init_params(ModelConfig.tiny(), seed=1)
-    small = init_params(ModelConfig.tiny().scaled(2.0), seed=1)
-    rounds = [[benchmark_runtime(store, n_frames=200, warmup=20)["ms_per_frame"]
-               for store in (tiny, small)] for _ in range(5)]
-    t_tiny, t_small = np.median(rounds, axis=0)
-    assert t_tiny < t_small

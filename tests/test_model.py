@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,8 +12,15 @@ from aligncruse.data import ScenarioConfig, ld_scenario_config, synth_scenario
 from aligncruse.dsp import WIN, AudioClip, SpectralFrames
 from aligncruse.errors import ConfigurationError, ContractViolationError, ShapeError
 from aligncruse.model import (
+    ALIGN_POOL,
     BLOCK,
+    BN_LAYERS,
+    CAUSAL_DECAY,
+    CONV_KERNEL,
+    DEC_KERNEL_F,
     ENC_BLOCKS,
+    ENC_FREQS,
+    STRIDE_F,
     AlignState,
     DelayDistribution,
     ModelConfig,
@@ -42,10 +50,29 @@ def rand_feats(t, seed=0, channels=1):
 # -- config ---------------------------------------------------------------------
 
 def test_frequency_chain():
+    """ENC_FREQS holds the widths the encoder convs produce from N_BINS, and
+    the transposed convs walk them back up; the alignment pools ENC_FREQS[2]."""
+    x = Tensor(np.zeros((1, 1, dsp.N_BINS)))
+    widths = [x.shape[2]]
+    for _ in range(4):
+        x = ad.conv2d_causal(x, Tensor(np.zeros((1, 1, *CONV_KERNEL))), stride_f=STRIDE_F)
+        widths.append(x.shape[2])
+    assert tuple(widths) == ENC_FREQS == (161, 81, 41, 21, 11)
+    for f in reversed(ENC_FREQS[:-1]):
+        x = ad.conv2d_transpose(x, Tensor(np.zeros((1, 1, 1, DEC_KERNEL_F))), stride_f=STRIDE_F)
+        assert x.shape[2] == f
     cfg = ModelConfig()
-    assert cfg.enc_freqs == (161, 81, 41, 21, 11)
     assert cfg.bottleneck == 352
-    assert cfg.align_bins == 10
+    pooled = ad.max_pool_freq(Tensor(np.zeros((1, 1, ENC_FREQS[2]))), ALIGN_POOL)
+    assert pooled.shape[2] == cfg.align_bins == 10
+
+
+def test_config_holds_only_sizes():
+    assert [f.name for f in fields(ModelConfig)] == [
+        "mic_channels", "far_channels", "dec_channels", "align_proj", "d_max", "gru_channels"]
+    assert ModelConfig().scaled(0.5) == ModelConfig(
+        mic_channels=(8, 20, 36, 16), far_channels=(4, 12), dec_channels=(16, 24, 24),
+        gru_channels=14)
 
 
 def test_tiny_preset():
@@ -79,6 +106,14 @@ def test_param_delta_is_align_projections():
     far_dim = cfg.far_channels[1] * cfg.align_bins
     proj = (mic_dim + far_dim) * cfg.align_proj + 2 * cfg.align_proj
     assert delta == proj
+
+
+def test_no_bias_feeds_batch_norm():
+    for arch in ("align", "cruse"):
+        shapes = param_shapes(TINY, arch)
+        assert not [n for n in shapes if n.endswith(".b") and n[:-2] in BN_LAYERS]
+        assert {n for n in shapes if n.endswith(".b")} == {
+            "gru.b", "skip1.b", "skip2.b", "skip3.b", "skip4.b", "mask.b"}
 
 
 def test_param_count_matches_store():
@@ -221,8 +256,8 @@ def test_forward_mask_bounds():
 
 
 def test_forward_zero_inputs_constant_mask():
-    # fresh init has zero biases, so zero features propagate as zeros and the
-    # mask is exactly gain * sigmoid(0) everywhere
+    # the convs have no bias and fresh init zeroes every other bias, so zero
+    # features propagate as zeros and the mask is exactly gain * sigmoid(0)
     store = tiny_store(seed=12)
     zeros = np.zeros((1, 6, 161))
     mask, _ = forward(store, zeros, zeros, mode="infer")
@@ -271,7 +306,7 @@ def test_cruse_gradcheck_end_to_end():
     # spot-check a few parameters with central differences
     rng = np.random.default_rng(1)
     worst = 0.0
-    for name in ("mic1.w", "gru.whh", "mask.w", "skip2.w", "dec1.b"):
+    for name in ("mic1.w", "gru.whh", "mask.w", "skip2.w", "skip2.b"):
         tensor = store[name]
         flat = tensor.data.reshape(-1)
         grad = tensor.grad.reshape(-1)
@@ -531,7 +566,7 @@ class _ShiftedAlignState:
         self.scores = np.zeros(cfg.d_max)
 
     def step(self, mic_frame, far_frame, wq, bq, wk, bk):
-        pool = self.cfg.align_pool
+        pool = ALIGN_POOL
         fb = mic_frame.shape[1] // pool
         pm = mic_frame[:, : fb * pool].reshape(mic_frame.shape[0], fb, pool).max(axis=-1)
         pf = far_frame[:, : fb * pool].reshape(far_frame.shape[0], fb, pool).max(axis=-1)
@@ -541,7 +576,7 @@ class _ShiftedAlignState:
         self.k_hist[0] = k
         self.far_hist[1:] = self.far_hist[:-1].copy()
         self.far_hist[0] = far_frame
-        self.scores = self.cfg.causal_decay * self.scores + self.k_hist @ q
+        self.scores = CAUSAL_DECAY * self.scores + self.k_hist @ q
         e = np.exp(self.scores - self.scores.max())
         dist = e / e.sum()
         return np.einsum("d,dcf->cf", dist, self.far_hist), dist
@@ -549,7 +584,7 @@ class _ShiftedAlignState:
 
 def test_ring_align_state_matches_shifted_histories():
     store = _perturbed_store(41)
-    c_mic, c_far, f = TINY.mic_channels[1], TINY.far_channels[1], TINY.enc_freqs[2]
+    c_mic, c_far, f = TINY.mic_channels[1], TINY.far_channels[1], ENC_FREQS[2]
     weights = [store[n].data for n in ("align.wq", "align.bq", "align.wk", "align.bk")]
     ring, ref = AlignState(TINY, c_far, f), _ShiftedAlignState(TINY, c_far, f)
     rng = np.random.default_rng(9)

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from aligncruse.errors import ConfigurationError, ShapeError
-from aligncruse.model import ModelConfig, init_params
-from aligncruse.params_io import load_params, read_records, save_params, write_records
+from aligncruse.model import BN_LAYERS, ModelConfig, init_params, param_shapes
+from aligncruse.params_io import (
+    CONFIG_RECORD,
+    load_params,
+    read_records,
+    save_params,
+    write_records,
+)
+from aligncruse.train import LossConfig, OptimConfig, train_loop
 
 TINY = ModelConfig.tiny()
 
@@ -45,6 +52,16 @@ def test_f32_round_trip_close(tmp_path):
         np.testing.assert_allclose(back[name].data, t.data, atol=1e-6)
 
 
+def test_f64_records_share_one_allocation(tmp_path):
+    """A load allocates its f64 payloads as one array, so the heap layout a
+    load leaves does not depend on the record list."""
+    path = tmp_path / "m.acrs"
+    save_params(path, init_params(TINY, seed=14))
+    records = read_records(path)
+    assert len({id(arr.base) for arr in records.values()}) == 1
+    assert all(arr.base is not None and arr.flags.writeable for arr in records.values())
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.acrs"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -55,6 +72,56 @@ def test_bad_magic(tmp_path):
 def test_bad_version(tmp_path):
     path = tmp_path / "v9.acrs"
     path.write_bytes(b"ACRS" + struct.pack("<II", 9, 0))
+    with pytest.raises(ConfigurationError):
+        load_params(path)
+
+
+def test_version_1_rejected(tmp_path):
+    """A version-1 file (conv biases and geometry in its configuration echo)
+    is refused by load_params and by a training resume."""
+    path = tmp_path / "v1.acrs"
+    save_params(path, init_params(TINY, seed=11), extra={"epoch": np.array([0.0])})
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ConfigurationError, match="version 1"):
+        load_params(path)
+    store = init_params(TINY, seed=11)
+    with pytest.raises(ConfigurationError, match="version 1"):
+        train_loop(lambda epoch: [], store, OptimConfig(batch=1, epochs=1), LossConfig(),
+                   resume_from=path)
+
+
+@pytest.mark.parametrize("arch", ["align", "cruse"])
+def test_version_2_round_trip(tmp_path, arch):
+    store = init_params(TINY, seed=12, arch=arch)
+    for layer, stats in store.bn_stats.items():
+        stats.mean = np.full(stats.mean.shape, 0.25)
+    path = tmp_path / "v2.acrs"
+    save_params(path, store)
+    assert path.read_bytes()[:8] == b"ACRS" + struct.pack("<I", 2)
+    records = read_records(path)
+    stats_names = [f"{layer}.bn.running_{s}" for layer in BN_LAYERS for s in ("mean", "var")]
+    assert list(records) == [CONFIG_RECORD, *param_shapes(TINY, arch), *stats_names]
+    back, extra = load_params(path)
+    assert (back.cfg, back.arch, extra) == (TINY, arch, {})
+    assert list(back.tensors) == list(store.tensors)
+    for name, t in store.tensors.items():
+        assert np.array_equal(back[name].data, t.data), name
+    for layer, stats in store.bn_stats.items():
+        assert np.array_equal(back.bn_stats[layer].mean, stats.mean)
+        assert np.array_equal(back.bn_stats[layer].var, stats.var)
+
+
+@pytest.mark.parametrize("edit", ["empty", "short", "long"])
+def test_malformed_config_record_rejected(tmp_path, edit):
+    path = tmp_path / "m.acrs"
+    save_params(path, init_params(TINY, seed=13))
+    records = read_records(path)
+    vec = records[CONFIG_RECORD]
+    records[CONFIG_RECORD] = {"empty": vec[:0], "short": vec[:5],
+                              "long": np.append(vec, [4.0, 3.0])}[edit]
+    write_records(path, records)
     with pytest.raises(ConfigurationError):
         load_params(path)
 

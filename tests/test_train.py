@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from aligncruse.data import ScenarioConfig, child_seed, synth_scenario
 from aligncruse.dsp import HOP, N_BINS, WIN, WINDOW, AudioClip
 from aligncruse.errors import ConfigurationError, NumericsError
 from aligncruse.model import ModelConfig, init_params
-from aligncruse.params_io import load_params
+from aligncruse.params_io import load_params, save_params
 from aligncruse.train import (
     AdamState,
     LossConfig,
@@ -250,6 +252,24 @@ def test_train_resume_bit_identical(tmp_path):
     resumed, _ = load_params(tmp_path / "resumed" / "latest.acrs")
     for name in full.tensors:
         assert np.array_equal(full[name].data, resumed[name].data), name
+
+
+@pytest.mark.parametrize("other", ["d_max", "arch"])
+def test_train_resume_rejects_checkpoint_of_another_model(tmp_path, other):
+    """Resuming from a checkpoint built for another configuration or
+    architecture raises before any of its tensors reach the store."""
+    ckpt = tmp_path / "other.acrs"
+    if other == "d_max":
+        saved = init_params(replace(MICRO, d_max=5), seed=7)
+    else:
+        saved = init_params(MICRO, seed=7, arch="cruse")
+    save_params(ckpt, saved, extra={"epoch": np.array([0.0])})
+    store = init_params(MICRO, seed=7)
+    tensors = store.tensors
+    with pytest.raises(ConfigurationError):
+        train_loop(_provider(2), store, OptimConfig(lr=1e-3, batch=2, epochs=2), LossConfig(),
+                   resume_from=ckpt)
+    assert store.tensors is tensors
 
 
 def test_train_divergence_aborts():
