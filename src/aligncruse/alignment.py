@@ -257,6 +257,6 @@ def apply_delay(x: AudioClip, delay: int) -> AudioClip:
     n = len(x)
     if delay > n:
         warnings.warn(f"delay {delay} exceeds clip length {n}; output is silent")
-        return AudioClip(np.zeros(n), x.sample_rate)
+        return AudioClip(np.zeros(n))
     out = np.concatenate([np.zeros(delay), x.samples[: n - delay]])
-    return AudioClip(out, x.sample_rate)
+    return AudioClip(out)

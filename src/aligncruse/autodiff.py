@@ -450,55 +450,42 @@ def max_pool_freq(x: Tensor, k: int) -> Tensor:
 
 # -- batch norm --------------------------------------------------------------
 
-class BnStats:
-    """Mutable running statistics for one batch-norm layer (per channel)."""
-
-    def __init__(self, channels: int):
-        self.mean = np.zeros(channels)
-        self.var = np.ones(channels)
-        self.initialized = False
-
-    def copy(self):
-        out = BnStats(len(self.mean))
-        out.mean = self.mean.copy()
-        out.var = self.var.copy()
-        out.initialized = self.initialized
-        return out
-
-
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running: BnStats | None,
+def bn_affine(gamma, beta, mean, var):
+    """Batch-norm with statistics ``mean`` and ``var`` as one per-channel
+    affine ``y * scale + shift`` (Jacob et al. 2018, arXiv:1712.05877).
+    Returns ``(inv_std, scale, shift)``. ``batch_norm`` and the streaming
+    engine both take their affine from here."""
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    scale = gamma * inv_std
+    return inv_std, scale, beta - mean * scale
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, mean: Tensor, var: Tensor,
                mode: str = "train") -> Tensor:
     """Per-channel normalization over the (time, frequency) axes.
 
-    ``train`` normalizes with the current statistics and updates ``running``;
-    ``infer`` uses the frozen running statistics only, so a frame's output
-    never depends on other frames.
+    ``train`` normalizes with the current statistics and moves the running
+    statistics ``mean`` and ``var`` toward them; ``infer`` uses the running
+    statistics only, so a frame's output never depends on other frames.
     """
     c, t, f = x.data.shape
     n = t * f
     if mode == "train":
         mu = x.data.mean(axis=(1, 2))
-        var = x.data.var(axis=(1, 2))
-        if running is not None:
-            unbiased = var * n / max(n - 1, 1)
-            running.mean = (1 - BN_MOMENTUM) * running.mean + BN_MOMENTUM * mu
-            running.var = (1 - BN_MOMENTUM) * running.var + BN_MOMENTUM * unbiased
-            running.initialized = True
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        sigma2 = x.data.var(axis=(1, 2))
+        unbiased = sigma2 * n / max(n - 1, 1)
+        mean.data = (1 - BN_MOMENTUM) * mean.data + BN_MOMENTUM * mu
+        var.data = (1 - BN_MOMENTUM) * var.data + BN_MOMENTUM * unbiased
     elif mode == "infer":
-        if running is None or not running.initialized:
-            raise ContractViolationError("inference batch-norm requires frozen statistics")
-        mu = running.mean
-        inv_std = 1.0 / np.sqrt(running.var + BN_EPS)
+        mu, sigma2 = mean.data, var.data
     else:
         raise ShapeError(f"unknown batch-norm mode: {mode}")
 
-    scale = gamma.data * inv_std
-    shift = beta.data - mu * scale
+    inv_std, scale, shift = bn_affine(gamma.data, beta.data, mu, sigma2)
     out = x.data * scale[:, None, None]
     out += shift[:, None, None]
 

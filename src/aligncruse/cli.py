@@ -287,7 +287,7 @@ def _cmd_inspect(args) -> int:
     print(f"arch: {store.arch}")
     print(f"config: mic={cfg.mic_channels} far={cfg.far_channels} dec={cfg.dec_channels} "
           f"p={cfg.align_proj} d_max={cfg.d_max} gru={cfg.gru_hidden} bins={dsp.N_BINS}")
-    for name, tensor in store.tensors.items():
+    for name, tensor in store.trainable():
         print(f"  {name:<18} {str(tuple(tensor.data.shape)):<16} {tensor.size}")
     total = store.param_count()
     print(f"params: {total} ({total / 1e6:.2f}M)")

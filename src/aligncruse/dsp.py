@@ -57,8 +57,10 @@ WINDOW = make_sqrt_hann(WIN)
 
 @dataclass
 class AudioClip:
+    """Mono samples at ``SAMPLE_RATE``, the only rate a model can run;
+    ``open_wav`` rejects files at any other."""
+
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64).reshape(-1)
@@ -126,8 +128,6 @@ def synthesize(spec: np.ndarray) -> np.ndarray:
 
 
 def stft(clip: AudioClip) -> SpectralFrames:
-    if clip.sample_rate != SAMPLE_RATE:
-        raise ConfigurationError(f"expected {SAMPLE_RATE} Hz input, got {clip.sample_rate}")
     if len(clip) < WIN:
         raise ShapeError(f"clip of {len(clip)} samples is shorter than one window ({WIN})")
     return SpectralFrames(analyze(frame(clip.samples)))
@@ -254,7 +254,5 @@ def read_wav(path) -> AudioClip:
 
 
 def write_wav(path, clip: AudioClip) -> None:
-    if clip.sample_rate != SAMPLE_RATE:
-        raise ConfigurationError(f"can only write {SAMPLE_RATE} Hz audio")
     with create_wav(path) as w:
         w.writeframes(float_to_pcm(clip.samples))

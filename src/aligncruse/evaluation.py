@@ -81,13 +81,16 @@ class EvalReport:
 
     def render_table(self) -> str:
         agg = self.aggregates()
+        modes = sorted({r["align_mode"] for r in self.rows if "align_mode" in r})
+        mode_note = f"   align_mode: {', '.join(modes)}" if modes else ""
+
         def fmt(mean_key, ci_key):
             if mean_key not in agg:
                 return "n/a"
             return f"{agg[mean_key]:.2f} ± {agg.get(ci_key, 0.0):.2f}"
 
         lines = [
-            f"system: {self.system}   clips: {agg.get('n', 0)}   skipped: {agg.get('skipped', 0)}",
+            f"system: {self.system}{mode_note}   clips: {agg.get('n', 0)}   skipped: {agg.get('skipped', 0)}",
             f"{'metric':<24}{'value':>18}",
             "-" * 42,
             f"{'ERLE (dB)':<24}{fmt('mean_erle_db', 'ci95_erle_db'):>18}",
@@ -106,7 +109,8 @@ def delay_recovery_report(system: str, manifest_rows: list, base_dir,
     """Scores delay estimation (and ERLE when a model is given) per clip.
 
     ``system`` is one of: "model" (alignment from the network's delay
-    distribution), "global" or "online" (classical estimators).
+    distribution, in utterance mode, which each row names as its
+    ``align_mode``), "global" or "online" (classical estimators).
     Rows without ground truth are skipped with a warning count.
     """
     if system not in ("model", "global", "online"):
@@ -124,8 +128,9 @@ def delay_recovery_report(system: str, manifest_rows: list, base_dir,
         far = dsp.read_wav(base / row["far_path"])
         entry: dict = {"id": row.get("id"), "true_delay_frames": int(round(true_delay / HOP))}
         if system == "model":
-            out, dist = enhance(mic, far, store)
-            est_frames = int(dist.argmax()) if dist.mode == "utterance" else int(dist.argmax()[-1])
+            out, dist = enhance(mic, far, store, mode="utterance")
+            est_frames = int(dist.argmax())
+            entry["align_mode"] = "utterance"
             entry["erle_db"] = erle(mic, out)
             entry["align_argmax_frames"] = est_frames
         else:

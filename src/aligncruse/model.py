@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dsp
-from .autodiff import BnStats, Tensor
+from .autodiff import Tensor
 from .dsp import HOP, N_BINS, WIN, AudioClip, SpectralFrames
 from .errors import ConfigurationError, ContractViolationError, ShapeError
 
@@ -58,12 +58,14 @@ class ModelConfig:
     gru_channels: int = 28
 
     def __post_init__(self):
-        if self.d_max < 1 or self.align_proj < 1:
-            raise ConfigurationError("d_max and align_proj must be >= 1")
-        if not (self.mic_channels and self.far_channels and self.dec_channels):
-            raise ConfigurationError("channel lists must be non-empty")
-        if len(self.mic_channels) != 4 or len(self.far_channels) != 2 or len(self.dec_channels) != 3:
-            raise ConfigurationError("expected 4 mic, 2 far and 3 decoder conv blocks")
+        lists = (self.mic_channels, self.far_channels, self.dec_channels)
+        if [len(c) if isinstance(c, tuple) else None for c in lists] != [4, 2, 3]:
+            raise ConfigurationError("expected tuples of 4 mic, 2 far and 3 decoder channel counts")
+        for size in (*self.mic_channels, *self.far_channels, *self.dec_channels,
+                     self.align_proj, self.d_max, self.gru_channels):
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+                raise ConfigurationError(
+                    f"channel counts, align_proj, d_max and gru_channels must be ints >= 1, got {size!r}")
 
     @property
     def bottleneck(self) -> int:
@@ -180,16 +182,29 @@ def param_shapes(cfg: ModelConfig, arch: str = "align") -> OrderedDict:
 
 
 BN_LAYERS = ENC_BLOCKS + ("dec1", "dec2", "dec3")
+RUNNING_STATS = (".bn.running_mean", ".bn.running_var")
+
+
+def store_shapes(cfg: ModelConfig, arch: str = "align") -> OrderedDict:
+    """Name -> shape for every tensor of a ``ParamStore``: the trainable ones
+    of ``param_shapes``, then each batch-norm layer's running mean and
+    variance in ``BN_LAYERS`` order."""
+    shapes = param_shapes(cfg, arch)
+    for layer in BN_LAYERS:
+        for stat in RUNNING_STATS:
+            shapes[layer + stat] = shapes[f"{layer}.bn.gamma"]
+    return shapes
 
 
 class ParamStore:
-    """Named parameter tensors plus per-layer batch-norm running statistics."""
+    """Named tensors, as ``store_shapes`` lists them: the trainable
+    parameters, then the batch-norm running statistics, which train-mode
+    ``forward`` updates and nothing differentiates."""
 
     def __init__(self, cfg: ModelConfig, arch: str = "align"):
         self.cfg = cfg
         self.arch = arch
         self.tensors: OrderedDict[str, Tensor] = OrderedDict()
-        self.bn_stats: dict[str, BnStats] = {}
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -207,9 +222,7 @@ class ParamStore:
     def copy(self) -> "ParamStore":
         out = ParamStore(self.cfg, self.arch)
         for n, t in self.tensors.items():
-            c = Tensor(t.data.copy(), requires_grad=t.requires_grad)
-            out.tensors[n] = c
-        out.bn_stats = {n: s.copy() for n, s in self.bn_stats.items()}
+            out.tensors[n] = Tensor(t.data.copy(), requires_grad=t.requires_grad)
         return out
 
 
@@ -217,13 +230,11 @@ def init_params(cfg: ModelConfig, seed: int = 0, arch: str = "align") -> ParamSt
     """Uniform fan-in initialization; deterministic in (cfg, seed, arch)."""
     rng = np.random.default_rng(np.random.PCG64(seed))
     store = ParamStore(cfg, arch)
-    for name, shape in param_shapes(cfg, arch).items():
-        if name.endswith(".gamma"):
+    for name, shape in store_shapes(cfg, arch).items():
+        if name.endswith((".gamma", ".running_var")) or name == "mask.gain":
             data = np.ones(shape)
-        elif name.endswith((".beta", ".b", ".bq", ".bk")):
+        elif name.endswith((".beta", ".b", ".bq", ".bk", ".running_mean")):
             data = np.zeros(shape)
-        elif name == "mask.gain":
-            data = np.ones(shape)
         else:
             if name.endswith(".wq") or name.endswith(".wk"):
                 fan_in = shape[0]
@@ -237,11 +248,7 @@ def init_params(cfg: ModelConfig, seed: int = 0, arch: str = "align") -> ParamSt
                 fan_in = shape[1] * shape[2] * shape[3]
             k = 1.0 / np.sqrt(fan_in)
             data = rng.uniform(-k, k, size=shape)
-        store.tensors[name] = Tensor(data, requires_grad=True)
-    for layer in BN_LAYERS:
-        stats = BnStats(store.tensors[f"{layer}.bn.gamma"].size)
-        stats.initialized = True  # identity stats; valid frozen state for inference
-        store.bn_stats[layer] = stats
+        store.tensors[name] = Tensor(data, requires_grad=not name.endswith(RUNNING_STATS))
     return store
 
 
@@ -251,17 +258,16 @@ def param_count(cfg: ModelConfig, arch: str = "align") -> int:
 
 # -- graph building blocks -------------------------------------------------------
 
+def _bn_tensors(store: ParamStore, name: str) -> list[Tensor]:
+    """Layer ``name``'s gamma, beta, running mean and running variance."""
+    return [store[f"{name}.bn.{p}"] for p in ("gamma", "beta", "running_mean", "running_var")]
+
+
 def _conv_block(store: ParamStore, name: str, x: Tensor, mode: str) -> Tensor:
-    h = ad.conv2d_causal(x, store[f"{name}.w"], stride_f=STRIDE_F)
-    h = ad.batch_norm(h, store[f"{name}.bn.gamma"], store[f"{name}.bn.beta"],
-                      store.bn_stats[name], mode)
-    return ad.elu(h)
-
-
-def _deconv_block(store: ParamStore, name: str, x: Tensor, mode: str) -> Tensor:
-    h = ad.conv2d_transpose(x, store[f"{name}.w"], stride_f=STRIDE_F)
-    h = ad.batch_norm(h, store[f"{name}.bn.gamma"], store[f"{name}.bn.beta"],
-                      store.bn_stats[name], mode)
+    """Conv, batch-norm, ELU; the conv of a decoder stage is transposed."""
+    conv = ad.conv2d_causal if name in ENC_BLOCKS else ad.conv2d_transpose
+    h = conv(x, store[f"{name}.w"], stride_f=STRIDE_F)
+    h = ad.batch_norm(h, *_bn_tensors(store, name), mode)  # rebound: frees the conv output
     return ad.elu(h)
 
 
@@ -401,7 +407,7 @@ def _decoder(store: ParamStore, skips: list[Tensor], bottleneck_out: Tensor, mod
     x = bottleneck_out
     for i, name in enumerate(DEC_STAGE_NAMES):
         x = skip_block(skips[3 - i], x, store[f"skip{i + 1}.w"], store[f"skip{i + 1}.b"])
-        x = _deconv_block(store, name, x, mode)
+        x = _conv_block(store, name, x, mode)
     x = skip_block(skips[0], x, store["skip4.w"], store["skip4.b"])
     pre = ad.conv2d_transpose(x, store["mask.w"], stride_f=STRIDE_F)
     pre = ad.add(pre, ad.reshape(store["mask.b"], (1, 1, 1)))
@@ -458,8 +464,6 @@ def apply_mask(mask: np.ndarray, mic_spec: SpectralFrames) -> SpectralFrames:
 
 
 def _prepare_pair(mic: AudioClip, far: AudioClip):
-    if mic.sample_rate != far.sample_rate:
-        raise ConfigurationError("mic and far sample rates differ")
     n = min(len(mic), len(far))
     if abs(len(mic) - len(far)) > HOP:
         warnings.warn(
@@ -481,16 +485,16 @@ def enhance(mic: AudioClip, far: AudioClip, store: ParamStore, mode: str = "utte
     full = np.zeros(len(mic))
     uniform = DelayDistribution(np.full(store.cfg.d_max, 1.0 / store.cfg.d_max))
     if len(mic_s) < WIN:
-        return AudioClip(full, mic.sample_rate), uniform
+        return AudioClip(full), uniform
 
     if mode == "causal":
         eng = StreamingEnhancer(store, force_identity_mask=force_identity_mask)
         out = eng.push(mic_s, far_s)
         full[: len(out)] = out
-        return AudioClip(full, mic.sample_rate), DelayDistribution(eng.frame_dists, mode="per-frame")
+        return AudioClip(full), DelayDistribution(eng.frame_dists, mode="per-frame")
 
-    spec_m = dsp.stft(AudioClip(mic_s, mic.sample_rate))
-    spec_f = dsp.stft(AudioClip(far_s, far.sample_rate))
+    spec_m = dsp.stft(AudioClip(mic_s))
+    spec_f = dsp.stft(AudioClip(far_s))
     if force_identity_mask:
         mask = np.ones((1, spec_m.n_frames, N_BINS))
         dist = uniform
@@ -503,19 +507,15 @@ def enhance(mic: AudioClip, far: AudioClip, store: ParamStore, mode: str = "utte
     # modes stop at the last complete frame
     valid = spec_m.n_frames * HOP
     full[:valid] = dsp.istft(apply_mask(mask, spec_m)).samples[:valid]
-    return AudioClip(full, mic.sample_rate), dist
+    return AudioClip(full), dist
 
 
 # -- streaming engine ----------------------------------------------------------------
 
 def _bn_affine(store: ParamStore, name: str):
-    """Frozen batch-norm as one per-channel affine: ``bn(y) == y * scale +
-    shift`` (Jacob et al. 2018, arXiv:1712.05877). It equals
-    ``autodiff.batch_norm`` in inference mode up to rounding.
-    """
-    stats = store.bn_stats[name]
-    scale = store[f"{name}.bn.gamma"].data / np.sqrt(stats.var + ad.BN_EPS)
-    shift = store[f"{name}.bn.beta"].data - stats.mean * scale
+    """Frozen batch-norm as the per-channel affine of
+    ``autodiff.batch_norm`` in inference mode."""
+    _, scale, shift = ad.bn_affine(*(t.data for t in _bn_tensors(store, name)))
     return scale[:, None], shift[:, None]
 
 

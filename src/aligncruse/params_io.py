@@ -20,9 +20,9 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .autodiff import BnStats, Tensor
+from .autodiff import Tensor
 from .errors import ConfigurationError, ShapeError
-from .model import BN_LAYERS, ModelConfig, ParamStore, param_shapes
+from .model import RUNNING_STATS, ModelConfig, ParamStore, store_shapes
 
 MAGIC = b"ACRS"
 VERSION = 2
@@ -82,12 +82,7 @@ def write_records(path, records: OrderedDict, dtype: str = "f64") -> None:
             fh.write(arr.astype(np_dtype).tobytes())
 
 
-def _unpack(fh, fmt: str, path) -> tuple:
-    size = struct.calcsize(fmt)
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise ConfigurationError(f"{path}: truncated record header")
-    return struct.unpack(fmt, raw)
+_U32, _U32_PAIR = struct.Struct("<I"), struct.Struct("<II")
 
 
 def read_records(path) -> OrderedDict:
@@ -97,73 +92,67 @@ def read_records(path) -> OrderedDict:
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ConfigurationError(f"{path}: not a parameter file (bad magic)")
-        version, count = _unpack(fh, "<II", path)
-        if version != VERSION:
-            raise ConfigurationError(f"{path}: unsupported format version {version}")
-        arena, used = np.empty(os.fstat(fh.fileno()).st_size // 8, dtype="<f8"), 0
         records: OrderedDict[str, np.ndarray] = OrderedDict()
-        for _ in range(count):
-            (name_len,) = _unpack(fh, "<I", path)
-            name = fh.read(name_len).decode("utf-8")
-            code, rank = _unpack(fh, "<II", path)
-            if code not in (0, 1):
-                raise ConfigurationError(f"{path}: unknown dtype code {code}")
-            shape = _unpack(fh, f"<{rank}I", path)
-            n = math.prod(shape)
-            if code == 0:
-                data = np.empty(n, dtype="<f4")
-            elif used + n <= arena.size:
-                data, used = arena[used : used + n], used + n
-            else:
-                raise ConfigurationError(f"{path}: record {name!r} is truncated")
-            got = fh.readinto(data)
-            if got != data.nbytes:
-                raise ConfigurationError(
-                    f"{path}: record {name!r} is truncated ({got} of {data.nbytes} bytes)")
-            records[name] = data.astype(np.float64, copy=False).reshape(shape)
+        try:  # a header cut short makes unpack raise struct.error
+            version, count = _U32_PAIR.unpack(fh.read(8))
+            if version != VERSION:
+                raise ConfigurationError(f"{path}: unsupported format version {version}")
+            arena, used = np.empty(os.fstat(fh.fileno()).st_size // 8, dtype="<f8"), 0
+            for _ in range(count):
+                (name_len,) = _U32.unpack(fh.read(4))
+                name = fh.read(name_len).decode("utf-8")
+                code, rank = _U32_PAIR.unpack(fh.read(8))
+                if code not in (0, 1):
+                    raise ConfigurationError(f"{path}: unknown dtype code {code}")
+                shape = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+                n = math.prod(shape)
+                if code == 0:
+                    data = np.empty(n, dtype="<f4")
+                elif used + n <= arena.size:
+                    data, used = arena[used : used + n], used + n
+                else:
+                    raise ConfigurationError(f"{path}: record {name!r} is truncated")
+                got = fh.readinto(data)
+                if got != data.nbytes:
+                    raise ConfigurationError(
+                        f"{path}: record {name!r} is truncated ({got} of {data.nbytes} bytes)")
+                records[name] = data.astype(np.float64, copy=False).reshape(shape)
+        except struct.error:
+            raise ConfigurationError(f"{path}: truncated record header") from None
     return records
 
 
 def save_params(path, store: ParamStore, extra: dict | None = None, dtype: str = "f64") -> None:
-    """Writes parameters, batch-norm statistics and optional extra records
-    (optimizer state, counters) to one container."""
+    """Writes the store's tensors (parameters, then batch-norm running
+    statistics) and optional extra records (optimizer state, counters) to one
+    container."""
     records: OrderedDict[str, np.ndarray] = OrderedDict()
     records[CONFIG_RECORD] = _config_vector(store.cfg, store.arch)
     for name, tensor in store.tensors.items():
         records[name] = tensor.data
-    for layer, stats in store.bn_stats.items():
-        records[f"{layer}.bn.running_mean"] = stats.mean
-        records[f"{layer}.bn.running_var"] = stats.var
     for name, arr in (extra or {}).items():
         records[f"extra.{name}"] = np.asarray(arr, dtype=np.float64)
     write_records(path, records, dtype=dtype)
 
 
 def load_params(path) -> tuple[ParamStore, dict]:
-    """Rebuilds a ParamStore; every tensor shape is validated against the
-    configuration echoed in the file."""
+    """Rebuilds a ParamStore. Every tensor of ``store_shapes`` must be present
+    with the shape the configuration echoed in the file gives it, and every
+    other record must be an ``extra.`` one."""
     records = read_records(path)
     if CONFIG_RECORD not in records:
         raise ConfigurationError(f"{path}: missing configuration record")
     cfg, arch = _config_from_vector(records.pop(CONFIG_RECORD), path)
-    expected = param_shapes(cfg, arch)
     store = ParamStore(cfg, arch)
-    for name, shape in expected.items():
+    for name, shape in store_shapes(cfg, arch).items():
         if name not in records:
             raise ShapeError(f"{path}: missing tensor {name!r}")
         arr = records.pop(name)
         if arr.shape != shape:
             raise ShapeError(f"{path}: tensor {name!r} has shape {arr.shape}, expected {shape}")
-        store.tensors[name] = Tensor(arr, requires_grad=True)
-    for layer in BN_LAYERS:
-        stats = BnStats(store.tensors[f"{layer}.bn.gamma"].size)
-        mean = records.pop(f"{layer}.bn.running_mean", None)
-        var = records.pop(f"{layer}.bn.running_var", None)
-        if mean is not None and var is not None:
-            if mean.shape != stats.mean.shape or var.shape != stats.var.shape:
-                raise ShapeError(f"{path}: bad running-stat shapes for {layer!r}")
-            stats.mean, stats.var = mean.copy(), var.copy()
-        stats.initialized = True
-        store.bn_stats[layer] = stats
-    extra = {k[len("extra."):]: v for k, v in records.items() if k.startswith("extra.")}
+        store.tensors[name] = Tensor(arr, requires_grad=not name.endswith(RUNNING_STATS))
+    stray = [k for k in records if not k.startswith("extra.")]
+    if stray:
+        raise ConfigurationError(f"{path}: unexpected records {stray}")
+    extra = {k[len("extra."):]: v for k, v in records.items()}
     return store, extra

@@ -227,7 +227,6 @@ def train_loop(provider, store: ParamStore, optim_cfg: OptimConfig,
             raise ConfigurationError(f"{resume_from}: checkpoint is for {loaded.arch} {loaded.cfg}, "
                                      f"not the {store.arch} {store.cfg} being trained")
         store.tensors = loaded.tensors
-        store.bn_stats = loaded.bn_stats
         state = AdamState.from_records(extra)
         start_epoch = int(extra.get("epoch", np.zeros(1))[0]) + 1
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from aligncruse.autodiff import (
     BN_EPS,
-    BnStats,
+    BN_MOMENTUM,
     Tensor,
     add,
     backward,
@@ -212,7 +212,7 @@ def test_backward_gradients_equal_keep_all_sweep():
         store, sc = _tiny_store_and_clip(0.5)
         loss, _ = clip_loss(store, sc, LossConfig())
         sweep(loss)
-        grads.append({name: t.grad for name, t in store.tensors.items()})
+        grads.append({name: t.grad for name, t in store.trainable()})
     ref, got = grads
     assert ref.keys() == got.keys()
     assert all(ref[k] is not None for k in ref)
@@ -481,41 +481,55 @@ def test_max_pool_matches_oracle():
 
 # -- batch norm -------------------------------------------------------------------
 
+def _running(mean, var):
+    """Running-statistics tensors, as a ParamStore holds them."""
+    return Tensor(np.array(mean, dtype=np.float64)), Tensor(np.array(var, dtype=np.float64))
+
+
+def _identity_stats(c):
+    return _running(np.zeros(c), np.ones(c))
+
+
 def test_bn_constant_channel_train():
     x = np.ones((3, 4, 5)) * np.array([1.0, -2.0, 7.0])[:, None, None]
     beta = np.array([0.3, 0.4, 0.5])
-    out = batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(beta), BnStats(3), "train")
+    out = batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(beta), *_identity_stats(3), "train")
     np.testing.assert_allclose(out.data, np.broadcast_to(beta[:, None, None], x.shape), atol=1e-12)
 
 
 def test_bn_identity_on_standardized_input():
     x = RNG.standard_normal((2, 50, 60))
     x = (x - x.mean(axis=(1, 2), keepdims=True)) / x.std(axis=(1, 2), keepdims=True)
-    out = batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), BnStats(2), "train")
+    out = batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), *_identity_stats(2), "train")
     np.testing.assert_allclose(out.data, x, atol=1e-3)
 
 
 def test_bn_train_moments():
     x = RNG.standard_normal((4, 30, 40)) * 3 + 1
-    out = batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)), BnStats(4), "train").data
+    out = batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)), *_identity_stats(4), "train").data
     np.testing.assert_allclose(out.mean(axis=(1, 2)), 0.0, atol=1e-6)
     np.testing.assert_allclose(out.var(axis=(1, 2)), 1.0, atol=1e-3)
 
 
-def test_bn_infer_without_stats_errors():
-    x = Tensor(np.zeros((2, 3, 4)))
-    with pytest.raises(ContractViolationError):
-        batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), None, "infer")
-    with pytest.raises(ContractViolationError):
-        batch_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), BnStats(2), "infer")
+def test_bn_train_moves_running_stats_infer_leaves_them():
+    x = np.random.default_rng(5).standard_normal((2, 5, 4)) * 2 + 1  # RNG's draws stay as they were
+    mean, var = _running([0.5, -1.0], [2.0, 3.0])
+    batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), mean, var, "train")
+    m = BN_MOMENTUM
+    want_mean = (1 - m) * np.array([0.5, -1.0]) + m * x.mean(axis=(1, 2))
+    want_var = (1 - m) * np.array([2.0, 3.0]) + m * x.var(axis=(1, 2), ddof=1)
+    np.testing.assert_allclose(mean.data, want_mean, rtol=1e-14)
+    np.testing.assert_allclose(var.data, want_var, rtol=1e-14)
+    before = mean.data.copy(), var.data.copy()
+    batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), mean, var, "infer")
+    assert np.array_equal(mean.data, before[0]) and np.array_equal(var.data, before[1])
 
 
 def test_bn_infer_is_frame_local():
-    stats = BnStats(2)
-    stats.mean, stats.var, stats.initialized = np.array([0.5, -1.0]), np.array([2.0, 3.0]), True
+    stats = _running([0.5, -1.0], [2.0, 3.0])
     x = RNG.standard_normal((2, 6, 4))
-    full = batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), stats, "infer").data
-    head = batch_norm(Tensor(x[:, :2]), Tensor(np.ones(2)), Tensor(np.zeros(2)), stats, "infer").data
+    full = batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)), *stats, "infer").data
+    head = batch_norm(Tensor(x[:, :2]), Tensor(np.ones(2)), Tensor(np.zeros(2)), *stats, "infer").data
     assert np.array_equal(full[:, :2], head)
 
 
@@ -524,13 +538,12 @@ def test_bn_backward_matches_reference(mode):
     x = RNG.standard_normal((3, 6, 7)) * 2 + 1
     gamma, beta = RNG.standard_normal(3), RNG.standard_normal(3)
     g = RNG.standard_normal(x.shape)
-    stats = BnStats(3)
-    stats.mean, stats.var, stats.initialized = RNG.standard_normal(3), RNG.random(3) + 0.5, True
+    run_mean, run_var = RNG.standard_normal(3), RNG.random(3) + 0.5
     if mode == "train":
         mu, var = x.mean(axis=(1, 2)), x.var(axis=(1, 2))
     else:
-        mu, var = stats.mean, stats.var
-    _, grads = _run(lambda *a: batch_norm(*a, stats.copy(), mode), [x, gamma, beta], g)
+        mu, var = run_mean, run_var
+    _, grads = _run(lambda *a: batch_norm(*a, *_running(run_mean, run_var), mode), [x, gamma, beta], g)
     ref = _bn_grad_ref(x, gamma, mu, 1.0 / np.sqrt(var + BN_EPS), mode == "train", g)
     for got, want in zip(grads, ref):
         _assert_close(got, want)
@@ -712,16 +725,15 @@ def test_gradcheck_batch_norm_train():
     x = RNG.standard_normal((2, 4, 5)) * 2 + 1
     gamma = np.array([1.3, 0.7])
     beta = np.array([0.2, -0.1])
-    err = grad_check(lambda a, g, b: batch_norm(a, g, b, None, "train"), [x, gamma, beta])
+    err = grad_check(lambda a, g, b: batch_norm(a, g, b, *_identity_stats(2), "train"), [x, gamma, beta])
     assert err < 1e-4
 
 
 def test_gradcheck_batch_norm_infer():
-    stats = BnStats(2)
-    stats.mean, stats.var, stats.initialized = np.array([0.2, -0.3]), np.array([1.5, 0.8]), True
+    stats = _running([0.2, -0.3], [1.5, 0.8])
     x = RNG.standard_normal((2, 4, 5))
     err = grad_check(
-        lambda a, g, b: batch_norm(a, g, b, stats, "infer"),
+        lambda a, g, b: batch_norm(a, g, b, *stats, "infer"),
         [x, np.array([1.3, 0.7]), np.array([0.2, -0.1])],
     )
     assert err < 1e-4
@@ -774,7 +786,7 @@ def test_gradcheck_composed_stack():
 
     def stack(xx, ww1, gg1, bbe1, ww2, bb2):
         h = conv2d_causal(xx, ww1, stride_f=2)
-        h = elu(batch_norm(h, gg1, bbe1, None, "train"))
+        h = elu(batch_norm(h, gg1, bbe1, *_identity_stats(2), "train"))
         return add(conv2d_transpose(h, ww2, stride_f=2), reshape(bb2, (1, 1, 1)))
 
     err = grad_check(stack, [x, w1, g1, be1, w2, b2])

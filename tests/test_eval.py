@@ -91,6 +91,7 @@ def test_report_aggregates_recompute_from_rows(tmp_path):
     assert len(lines) == 3
     table = rep.render_table()
     assert "ERLE" in table and "N/A" in table
+    assert "align_mode" not in table  # classical rows carry no alignment mode
 
 
 def test_delay_recovery_classical_on_ld_set(tmp_path):
@@ -110,6 +111,12 @@ def test_delay_recovery_model_system(tmp_path):
     assert rep.aggregates()["n"] == 2
     for row in rep.rows:
         assert "erle_db" in row and "align_argmax_frames" in row
+        assert row["align_mode"] == "utterance"
+    assert "align_mode: utterance" in rep.render_table().splitlines()[0]
+    path = tmp_path / "r.jsonl"
+    rep.to_jsonl(path)
+    rows_out = [json.loads(l) for l in path.read_text().splitlines()][:-1]
+    assert [r["align_mode"] for r in rows_out] == ["utterance", "utterance"]
 
 
 def test_delay_recovery_missing_ground_truth_skipped(tmp_path):

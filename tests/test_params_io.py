@@ -19,7 +19,7 @@ TINY = ModelConfig.tiny()
 
 def test_round_trip_exact(tmp_path):
     store = init_params(TINY, seed=4)
-    store.bn_stats["mic1"].mean[:] = np.random.default_rng(0).standard_normal(4)
+    store["mic1.bn.running_mean"].data[:] = np.random.default_rng(0).standard_normal(4)
     path = tmp_path / "m.acrs"
     save_params(path, store)
     back, extra = load_params(path)
@@ -28,7 +28,7 @@ def test_round_trip_exact(tmp_path):
     assert back.cfg == TINY
     for name, t in store.tensors.items():
         assert np.array_equal(back[name].data, t.data)
-    np.testing.assert_array_equal(back.bn_stats["mic1"].mean, store.bn_stats["mic1"].mean)
+        assert back[name].requires_grad == t.requires_grad
 
 
 def test_round_trip_cruse_and_extra(tmp_path):
@@ -95,8 +95,8 @@ def test_version_1_rejected(tmp_path):
 @pytest.mark.parametrize("arch", ["align", "cruse"])
 def test_version_2_round_trip(tmp_path, arch):
     store = init_params(TINY, seed=12, arch=arch)
-    for layer, stats in store.bn_stats.items():
-        stats.mean = np.full(stats.mean.shape, 0.25)
+    for layer in BN_LAYERS:
+        store[f"{layer}.bn.running_mean"].data = np.full(store[f"{layer}.bn.gamma"].shape, 0.25)
     path = tmp_path / "v2.acrs"
     save_params(path, store)
     assert path.read_bytes()[:8] == b"ACRS" + struct.pack("<I", 2)
@@ -106,11 +106,9 @@ def test_version_2_round_trip(tmp_path, arch):
     back, extra = load_params(path)
     assert (back.cfg, back.arch, extra) == (TINY, arch, {})
     assert list(back.tensors) == list(store.tensors)
+    assert [n for n, _ in back.trainable()] == list(param_shapes(TINY, arch))
     for name, t in store.tensors.items():
         assert np.array_equal(back[name].data, t.data), name
-    for layer, stats in store.bn_stats.items():
-        assert np.array_equal(back.bn_stats[layer].mean, stats.mean)
-        assert np.array_equal(back.bn_stats[layer].var, stats.var)
 
 
 @pytest.mark.parametrize("edit", ["empty", "short", "long"])
@@ -148,6 +146,32 @@ def test_missing_tensor_rejected(tmp_path):
         load_params(path)
 
 
+def test_missing_running_stat_rejected(tmp_path):
+    """A file without one layer's running variance does not load with
+    identity statistics in its place."""
+    path = tmp_path / "m.acrs"
+    save_params(path, init_params(TINY, seed=8))
+    records = read_records(path)
+    del records["enc3.bn.running_var"]
+    write_records(path, records)
+    with pytest.raises(ShapeError, match="enc3.bn.running_var"):
+        load_params(path)
+
+
+@pytest.mark.parametrize("stray", ["mic1.b", "adam.step"])
+def test_stray_record_rejected(tmp_path, stray):
+    """A record that is neither expected nor ``extra.`` (here a version-1
+    conv bias, or optimizer state saved without its prefix) is an error,
+    not dropped."""
+    path = tmp_path / "m.acrs"
+    save_params(path, init_params(TINY, seed=8), extra={"epoch": np.array([0.0])})
+    records = read_records(path)
+    records[stray] = np.zeros(4)
+    write_records(path, records)
+    with pytest.raises(ConfigurationError, match=stray):
+        load_params(path)
+
+
 def test_save_is_deterministic(tmp_path):
     store = init_params(TINY, seed=9)
     p1, p2 = tmp_path / "a.acrs", tmp_path / "b.acrs"
@@ -168,3 +192,15 @@ def test_truncated_payload_rejected(tmp_path):
         read_records(path)
     with pytest.raises(ConfigurationError):
         load_params(path)
+
+
+def test_truncated_header_rejected(tmp_path):
+    path = tmp_path / "m.acrs"
+    save_params(path, init_params(TINY, seed=10))
+    raw = path.read_bytes()
+    name_end = raw.index(b"gru.wih") + len(b"gru.wih")
+    # inside the record count, a name length, a dtype code and a shape
+    for cut in (6, 14, name_end + 6, name_end + 10):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ConfigurationError, match="truncated record header"):
+            read_records(path)

@@ -223,6 +223,25 @@ def test_train_zero_lr_freezes_parameters():
     assert hist[0]["loss"] == pytest.approx(hist[1]["loss"])
 
 
+def test_store_copy_is_independent():
+    """Training a copy (a train-mode forward that moves the running
+    statistics, a backward and an Adam step) leaves the original's tensors
+    and gradients untouched, so a rerun from the original is bit-identical."""
+    store = init_params(MICRO, seed=6)
+    before = {n: t.data.copy() for n, t in store.tensors.items()}
+    copy = store.copy()
+    assert list(copy.tensors) == list(store.tensors)
+    assert [n for n, _ in copy.trainable()] == [n for n, _ in store.trainable()]
+    loss, _ = clip_loss(copy, micro_scenarios(1, seed=4)[0], LossConfig())
+    ad.backward(loss)
+    adam_step(copy, AdamState(), OptimConfig(lr=1e-3, batch=1))
+    for name, t in store.tensors.items():
+        assert np.array_equal(t.data, before[name]), name
+        assert t.grad is None, name
+    moved = [n for n, t in copy.tensors.items() if not np.array_equal(t.data, before[n])]
+    assert "enc3.bn.running_var" in moved and "gru.wih" in moved
+
+
 def test_train_determinism_bitwise(tmp_path):
     outs = []
     for run in range(2):
